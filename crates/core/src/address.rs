@@ -19,10 +19,9 @@
 
 use crate::config::MemConfig;
 use crate::CACHE_LINE_BITS;
-use serde::{Deserialize, Serialize};
 
 /// Fully decoded DRAM coordinates for one cache-line address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Location {
     /// Memory controller / channel index.
     pub channel: u16,
@@ -55,7 +54,7 @@ impl Location {
 }
 
 /// One named bit-field in the address layout (for Fig. 11-style printouts).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FieldSpec {
     pub name: &'static str,
     /// Position of the field's least-significant bit.
@@ -65,7 +64,7 @@ pub struct FieldSpec {
 
 /// Address mapper for one [`MemConfig`]. Construction precomputes all field
 /// widths and shifts; `decode`/`encode` are branch-free bit slicing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AddressMap {
     col_bits: u32,
     col_lo_bits: u32,

@@ -9,11 +9,10 @@
 
 use crate::timing::Timings;
 use crate::Cycle;
-use serde::{Deserialize, Serialize};
 
 /// Timing state of one μbank. All `next_*` fields are earliest-legal issue
 /// times in CPU cycles; `0` means "immediately".
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MicrobankState {
     /// Currently open row, if any (the row buffer contents).
     pub open_row: Option<u32>,

@@ -5,14 +5,13 @@
 //! 64 B column, `PRE` closes the row, and `REF` refreshes a rank.
 
 use crate::address::Location;
-use serde::{Deserialize, Serialize};
 
 /// Coordinates a command applies to. For row/column commands this is a full
 /// [`Location`]; `REF` targets a whole rank.
 pub type Target = Location;
 
 /// One DRAM command as issued on a channel's command bus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DramCommand {
     /// Open `target.row` in the addressed μbank.
     Activate(Target),

@@ -7,10 +7,9 @@ use crate::timing::{TimingParams, Timings};
 use crate::validate::{Checker, ConfigError};
 use crate::variant::DeviceVariant;
 use crate::CACHE_LINE_BITS;
-use serde::{Deserialize, Serialize};
 
 /// Processor–memory interface technology (paper §VI-D).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Interface {
     /// Module-based DDR3 connected through PCBs: the conventional baseline.
     /// 8 memory controllers (to keep ~1,600 I/O pins realistic), 12.8 GB/s
@@ -62,7 +61,7 @@ impl Interface {
 
 /// Full memory-system configuration handed to the channel model, the
 /// address mapper, the controller, and the energy model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemConfig {
     pub interface: Interface,
     /// Number of memory controllers, one channel each.
@@ -77,7 +76,6 @@ pub struct MemConfig {
     /// every pre-seam configuration behaves bit-identically. Set via
     /// [`MemConfig::with_variant`], which also derives the consistent
     /// `ubank` geometry.
-    #[serde(default)]
     pub variant: DeviceVariant,
     pub geometry: DeviceGeometry,
     pub timing: TimingParams,

@@ -7,14 +7,12 @@
 //! to `8 KB / nW`) and `nB` partitions along the bitline / global-dataline
 //! direction (multiplying the number of simultaneously open rows).
 
-use serde::{Deserialize, Serialize};
-
 /// Number of cells along one side of a mat (512×512 cells, §II).
 pub const MAT_CELLS: usize = 512;
 
 /// μbank partitioning degree. `(1, 1)` is the conventional bank and the
 /// baseline in every experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct UbankConfig {
     /// Number of partitions in the wordline direction (`nW`): each activate
     /// opens `1/nW` of the original row.
@@ -54,7 +52,7 @@ impl Default for UbankConfig {
 }
 
 /// Reference DRAM die geometry (paper §III-B and §IV-B).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceGeometry {
     /// Die capacity in bits (8 Gb).
     pub die_bits: u64,

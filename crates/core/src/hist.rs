@@ -2,11 +2,9 @@
 //! distributions. The paper reports means; percentile tails (p95/p99) are
 //! where queueing pathologies show first, so the simulator tracks them too.
 
-use serde::{Deserialize, Serialize};
-
 /// Log₂-bucketed histogram of `u64` samples. Bucket `i` covers
 /// `[2^i, 2^(i+1))` (bucket 0 covers {0, 1}).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,
@@ -129,8 +127,8 @@ impl Histogram {
     }
 
     /// Merge another histogram into this one. Saturating on every counter,
-    /// matching `record`'s contract: merging shard-local histograms whose
-    /// counts sit near `u64::MAX` must pin at the ceiling, not wrap.
+    /// matching `record`'s contract: a cross-channel merge of histograms
+    /// whose counts sit near `u64::MAX` must pin at the ceiling, not wrap.
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a = a.saturating_add(*b);

@@ -15,10 +15,9 @@
 //! tests).
 
 use crate::geometry::UbankConfig;
-use serde::{Deserialize, Serialize};
 
 /// A named bank organization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Organization {
     /// Conventional monolithic banks — the evaluation baseline.
     Conventional,

@@ -3,7 +3,6 @@
 
 use crate::address::Location;
 use crate::Cycle;
-use serde::{Deserialize, Serialize};
 
 /// Identity of the tenant (co-located service) a request belongs to.
 ///
@@ -12,9 +11,7 @@ use serde::{Deserialize, Serialize};
 /// tag is invisible (and result-neutral) until a multi-tenant workload
 /// stamps it. The QoS subsystem in `microbank-ctrl` keys its per-tenant
 /// token buckets and the per-tenant telemetry on this tag.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct TenantId(pub u8);
 
 impl TenantId {
@@ -24,7 +21,7 @@ impl TenantId {
 }
 
 /// Read or write, as seen by the main memory (a writeback or a line fill).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReqKind {
     Read,
     Write,
@@ -37,7 +34,7 @@ impl ReqKind {
 }
 
 /// One main-memory request for a 64 B cache line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRequest {
     /// Unique id assigned by the issuer; echoed in the completion callback.
     pub id: u64,

@@ -3,11 +3,9 @@
 //! counter here corresponds to one energy term in the paper's breakdowns
 //! (Fig. 1, Fig. 10, Fig. 14).
 
-use serde::{Deserialize, Serialize};
-
 /// Event counters for one channel (or, after [`DramStats::merge`], a whole
 /// memory system).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DramStats {
     /// ACT commands issued. Each carries the row-activation energy
     /// (30 nJ / nW for a full 8 KB page, Table I).
@@ -37,10 +35,10 @@ pub struct DramStats {
 }
 
 impl DramStats {
-    /// Accumulate another stats block (e.g. per-channel → system, or a
-    /// shard's counters into the global view). Saturating, matching the
-    /// within-shard accumulation contract: a counter pinned near `u64::MAX`
-    /// must degrade to the ceiling, never wrap to a tiny value.
+    /// Accumulate another stats block (e.g. per-channel → system, the
+    /// cross-channel merge). Saturating, matching the per-channel
+    /// accumulation contract: a counter pinned near `u64::MAX` must
+    /// degrade to the ceiling, never wrap to a tiny value.
     pub fn merge(&mut self, other: &DramStats) {
         self.activates = self.activates.saturating_add(other.activates);
         self.precharges = self.precharges.saturating_add(other.precharges);

@@ -7,11 +7,10 @@
 //! converted to the simulator's single 2 GHz clock domain by [`Timings`].
 
 use crate::{Cycle, CYCLES_PER_NS};
-use serde::{Deserialize, Serialize};
 
 /// Nanosecond-denominated DRAM timing parameters (paper Table I plus the
 /// standard DDR3 constraints the paper inherits from its baseline device).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingParams {
     /// Activate-to-read delay (Table I: 14 ns).
     pub t_rcd_ns: f64,
@@ -192,7 +191,7 @@ impl TimingParams {
 
 /// DRAM timing intervals in CPU cycles (2 GHz). Produced by
 /// [`TimingParams::to_cycles`]; consumed by the bank FSMs and the channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Timings {
     pub t_rcd: Cycle,
     pub t_rp: Cycle,

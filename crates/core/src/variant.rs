@@ -44,11 +44,10 @@
 
 use crate::geometry::UbankConfig;
 use crate::validate::Checker;
-use serde::{Deserialize, Serialize};
 
 /// SALP issue rule (Kim et al., ISCA'12, §4): how aggressively subarrays
 /// of one bank may overlap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SalpMode {
     /// Overlap precharge with a *different* subarray's activation; at most
     /// one subarray holds an open row at a time.
@@ -83,7 +82,7 @@ impl SalpMode {
 }
 
 /// One fine-grained-DRAM design point (see the module docs).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceVariant {
     /// Monolithic banks: the evaluation baseline. Forces `(1, 1)`.
     Conventional,

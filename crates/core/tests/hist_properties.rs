@@ -82,7 +82,7 @@ proptest! {
         prop_assert_eq!(h.count(), n as u64 + 2);
     }
 
-    /// Cross-shard merges follow the same saturating contract as `record`:
+    /// Cross-channel merges follow the same saturating contract as `record`:
     /// two histograms whose counts together exceed u64::MAX pin the merged
     /// count (and the affected bucket) at the ceiling instead of wrapping.
     #[test]

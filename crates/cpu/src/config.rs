@@ -1,10 +1,9 @@
 //! CMP configuration (paper §VI-A).
 
 use microbank_core::validate::{Checker, ConfigError};
-use serde::{Deserialize, Serialize};
 
 /// Chip-multiprocessor parameters. Defaults reproduce the paper's platform.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CmpConfig {
     /// Total cores (64).
     pub cores: usize,

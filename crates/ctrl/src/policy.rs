@@ -15,10 +15,9 @@
 //!   if closed-at-the-earliest-legal-time.
 
 use crate::predictor::PredictorKind;
-use serde::{Deserialize, Serialize};
 
 /// Which page-management policy a controller runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     Open,
     Close,

@@ -17,10 +17,8 @@
 //! bank: if it hits the previously open row, "open" was correct; otherwise
 //! "close" was correct.
 
-use serde::{Deserialize, Serialize};
-
 /// Speculative page-management decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PageDecision {
     KeepOpen,
     Close,
@@ -28,7 +26,7 @@ pub enum PageDecision {
 
 /// Which prediction scheme a controller runs (Fig. 13's C/O/L/T/P bars are
 /// expressed as static policies or these predictors).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PredictorKind {
     Local,
     Global,
@@ -49,7 +47,7 @@ impl PredictorKind {
 
 /// A 2-bit saturating bimodal counter over {open, close} (paper §V):
 /// 0 = strongly open, 1 = open, 2 = close, 3 = strongly close.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BimodalCounter(u8);
 
 impl BimodalCounter {
@@ -75,7 +73,7 @@ impl BimodalCounter {
 }
 
 /// Hit/miss bookkeeping for Fig. 13's "prediction hit rate" series.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PredictorStats {
     pub predictions: u64,
     pub correct: u64,

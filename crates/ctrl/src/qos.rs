@@ -40,7 +40,6 @@
 use microbank_core::request::TenantId;
 use microbank_core::validate::{Checker, ConfigError};
 use microbank_core::Cycle;
-use serde::{Deserialize, Serialize};
 
 /// Hard cap on distinguishable tenants: accounting arrays are fixed-size
 /// so per-issue bookkeeping never allocates. Tenants tagged beyond the
@@ -54,7 +53,7 @@ pub fn tenant_slot(t: TenantId) -> usize {
 }
 
 /// Budget-domain granularity of the token buckets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QosGranularity {
     /// One bucket per tenant for the whole channel (conventional
     /// per-channel bandwidth regulation).
@@ -66,7 +65,7 @@ pub enum QosGranularity {
 }
 
 /// Per-tenant regulation policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TenantPolicy {
     /// Column bursts allowed per bucket per replenishment window;
     /// `None` leaves the tenant unregulated (accounted but never
@@ -80,7 +79,7 @@ pub struct TenantPolicy {
 /// Validated QoS configuration (rides on `SimConfig` as `Option<QosConfig>`
 /// — `None` keeps the whole subsystem out of the hot path, same pattern as
 /// `FaultConfig`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct QosConfig {
     pub granularity: QosGranularity,
     /// Replenishment window length in memory-controller cycles.
@@ -177,7 +176,7 @@ impl QosConfig {
 }
 
 /// Regulator counters, reported per controller and merged per run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QosStats {
     /// Column bursts issued, per tenant slot (reads + writes): the
     /// bandwidth-share numerator.

@@ -21,10 +21,9 @@
 //! checks all 25 published values to ±0.2% absolute area.
 
 use microbank_core::geometry::{DeviceGeometry, UbankConfig};
-use serde::{Deserialize, Serialize};
 
 /// Structural area model for a μbank-partitioned DRAM die.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaModel {
     /// Reference die geometry (8 Gb, 80 mm²).
     pub geometry: DeviceGeometry,

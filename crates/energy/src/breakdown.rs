@@ -8,10 +8,9 @@
 use crate::energy::EnergyModel;
 use crate::params::EnergyParams;
 use microbank_core::geometry::UbankConfig;
-use serde::{Deserialize, Serialize};
 
 /// The three bars of Fig. 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SystemKind {
     /// Conventional DDR3 DIMMs over PCB.
     PcbBaseline,
@@ -45,7 +44,7 @@ impl SystemKind {
 }
 
 /// Per-bit energy breakdown (pJ/b), the Fig. 1 stacked-bar buckets.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BitEnergyBreakdown {
     /// DRAM core background energy amortized per transferred bit
     /// (peripheral/static; "Core" in Fig. 1).

@@ -5,13 +5,12 @@
 //! core energy with cache/uncore static power; we expose the same terms.
 
 use microbank_core::Cycle;
-use serde::{Deserialize, Serialize};
 
 /// Seconds per CPU cycle at 2 GHz.
 const SECONDS_PER_CYCLE: f64 = 0.5e-9;
 
 /// Processor (cores + caches + uncore) power model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorePowerModel {
     /// Dynamic energy per committed instruction, pJ (200 pJ/op, §III-B).
     pub epi_pj: f64,

@@ -9,14 +9,13 @@
 use crate::params::EnergyParams;
 use microbank_core::geometry::UbankConfig;
 use microbank_core::variant::DeviceVariant;
-use serde::{Deserialize, Serialize};
 
 /// Bits in one 64 B cache-line transfer.
 const LINE_BITS: f64 = 512.0;
 
 /// Per-operation DRAM energy model for one (interface, μbank, variant)
 /// combination.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     pub params: EnergyParams,
     pub ubank: UbankConfig,
@@ -24,7 +23,6 @@ pub struct EnergyModel {
     /// and SALP all activate per-μbank rows, so they share the geometric
     /// formula; only Sectored DRAM's latch accounting differs (sense amps
     /// span all sectors of the row even when one group activates).
-    #[serde(default)]
     pub variant: DeviceVariant,
 }
 

@@ -9,10 +9,9 @@
 //! 13 pJ/b core read/write energy.
 
 use microbank_core::config::Interface;
-use serde::{Deserialize, Serialize};
 
 /// Per-interface DRAM energy parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyParams {
     /// Inter-die I/O energy, pJ per bit (Table I).
     pub io_pj_per_bit: f64,

@@ -5,13 +5,12 @@
 use crate::energy::EnergyModel;
 use microbank_core::stats::DramStats;
 use microbank_core::Cycle;
-use serde::{Deserialize, Serialize};
 
 /// Seconds per simulated CPU cycle (2 GHz clock).
 const SECONDS_PER_CYCLE: f64 = 0.5e-9;
 
 /// Memory-system energy broken into the paper's reporting buckets (all nJ).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MemoryEnergy {
     pub act_pre_nj: f64,
     pub rdwr_nj: f64,
@@ -50,7 +49,7 @@ impl MemoryEnergy {
 }
 
 /// Average memory power in watts, same buckets as [`MemoryEnergy`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MemoryPowerW {
     pub act_pre_w: f64,
     pub rdwr_w: f64,

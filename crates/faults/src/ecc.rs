@@ -26,7 +26,7 @@ pub const SYMBOL_BITS: u32 = 8;
 pub const SYMBOLS: u32 = DATA_BITS / SYMBOL_BITS;
 
 /// ECC scheme protecting each 64 B access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EccMode {
     /// No ECC: every injected error is consumed silently.
     None,

@@ -21,7 +21,7 @@ use std::collections::HashMap;
 
 /// Aggregate reliability counters, summed across channels into
 /// `SimResult::reliability`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultSummary {
     /// Demand reads assessed by the engine.
     pub reads_checked: u64,
@@ -49,9 +49,9 @@ pub struct FaultSummary {
 }
 
 impl FaultSummary {
-    /// Accumulate another channel's (or shard's) counters. Saturating,
-    /// matching the cross-shard merge contract of the other telemetry
-    /// counters: pinned at `u64::MAX` rather than wrapped.
+    /// Accumulate another channel's counters. Saturating, matching the
+    /// cross-channel merge contract of the other telemetry counters:
+    /// pinned at `u64::MAX` rather than wrapped.
     pub fn merge(&mut self, other: &FaultSummary) {
         self.reads_checked = self.reads_checked.saturating_add(other.reads_checked);
         self.scrub_checks = self.scrub_checks.saturating_add(other.scrub_checks);

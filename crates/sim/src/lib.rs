@@ -25,11 +25,10 @@ pub mod error;
 pub mod experiment;
 pub mod report;
 pub mod service;
-pub mod shard;
 pub mod simulator;
 pub mod sweep;
 
-pub use error::{CancelKind, ShardDiagnostics, SimError};
+pub use error::{CancelKind, SimError};
 pub use experiment::{
     base_cfg, headline, interface_study, interleave_policy_study, organization_comparison,
     predictor_study, representative_study, ubank_grid, GridResult, InterfaceRow, InterleaveRow,
@@ -38,8 +37,8 @@ pub use experiment::{
 pub use report::{summarize, summary_columns, Table};
 pub use service::{JobState, ServiceConfig, SweepService};
 pub use simulator::{
-    run, run_many, run_many_checked, try_run, try_run_once, CancelToken, DriveMode, QosReport,
-    SequentialReason, SimConfig, SimResult, TenantMetrics,
+    run, run_many, run_many_checked, try_run, CancelToken, DriveMode, QosReport, SequentialReason,
+    SimConfig, SimResult, TenantMetrics,
 };
 pub use sweep::{SlotRecord, SlotStatus, SweepRunner, SweepSlot};
 

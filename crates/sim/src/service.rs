@@ -17,15 +17,14 @@
 //! * **Deadlines and cancellation**: each job carries a
 //!   [`CancelToken`]; `DELETE /jobs/{id}` trips it as `Requested`, the
 //!   monitor thread trips it as `Deadline` past the job's wall-clock
-//!   budget, and both drive loops poll it every
+//!   budget, and the drive loop polls it every
 //!   [`crate::simulator::CANCEL_CHECK_CYCLES`] simulated cycles.
 //!   Cancellation is sound under time-skip: it only shortens runs whose
 //!   state is discarded whole.
 //! * **Error-class-aware retry**: deterministic `InvalidConfig` is
 //!   never retried (it is rejected at admission anyway), `Cancelled` is
-//!   never retried, `ShardStall` is already rescued sequentially inside
-//!   [`try_run`], and `Panic`/`Artifact` retry with exponential backoff
-//!   plus deterministic jitter up to a per-slot attempt cap.
+//!   never retried, and `Panic`/`Artifact` retry with exponential
+//!   backoff plus deterministic jitter up to a per-slot attempt cap.
 //! * **Admission control**: a bounded queue answers 429 with
 //!   `Retry-After` when full, and 503 once draining.
 //! * **Graceful drain**: shutdown stops admission, waits a grace period
@@ -474,7 +473,6 @@ const SLOT_KEYS: &[&str] = &[
     "warmup_cycles",
     "measure_cycles",
     "seed",
-    "threads",
     "quick",
 ];
 
@@ -580,12 +578,6 @@ fn parse_slot(index: usize, v: &JsonValue) -> Result<SlotSpec, Vec<String>> {
                 Some(n) => *field = n,
                 None => errs.push(format!("{key}: expected a non-negative integer")),
             }
-        }
-    }
-    if let Some(t) = obj.get("threads") {
-        match as_uint(t) {
-            Some(n) => cfg.threads = Some(n as usize),
-            None => errs.push("threads: expected a non-negative integer".to_string()),
         }
     }
     if let Some(id) = obj.get("id") {
@@ -1284,10 +1276,7 @@ fn worker_loop(inner: &Arc<ServiceInner>) {
 fn retryable(e: &SimError) -> bool {
     match e {
         SimError::InvalidConfig { .. } | SimError::Cancelled { .. } => false,
-        // `try_run` already rescues stalls sequentially; if one still
-        // surfaces, a fresh attempt is the right recovery, as are panic
-        // and artifact-I/O classes.
-        SimError::ShardStall(_) | SimError::Panic { .. } | SimError::Artifact { .. } => true,
+        SimError::Panic { .. } | SimError::Artifact { .. } => true,
     }
 }
 
@@ -1640,6 +1629,13 @@ mod tests {
         assert!(
             errs.iter().any(|e| e.contains("wormup_cycles")),
             "typo must be named: {errs:?}"
+        );
+        // A run has one thread; sweep width is a daemon knob, not a slot's.
+        let v = json::parse(r#"{"workload":"mix-high","threads":2}"#).unwrap();
+        let errs = parse_slot(0, &v).unwrap_err();
+        assert!(
+            errs.iter().any(|e| e.contains("unknown field \"threads\"")),
+            "{errs:?}"
         );
         let v = json::parse(r#"{"workload":"mix-high","channels":3,"ubanks":[3,0]}"#).unwrap();
         let errs = parse_slot(0, &v).unwrap_err();

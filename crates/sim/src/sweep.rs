@@ -50,8 +50,8 @@ pub enum SlotStatus {
 #[derive(Debug, Clone)]
 pub struct SlotRecord {
     pub id: String,
-    /// Fingerprint of the slot's configuration (threads and test hooks
-    /// masked out — parallelism does not change results).
+    /// Fingerprint of the slot's configuration (fields that cannot change
+    /// results masked out; see `config_fingerprint`).
     pub config_fp: String,
     pub status: SlotStatus,
     /// Executions spent on this record (1, or 2 after a retry).
@@ -178,7 +178,7 @@ impl SweepRunner {
     }
 
     /// FNV-1a over the config's `Debug` rendering, with the fields that
-    /// cannot change results (thread count, span tracing, test hooks,
+    /// cannot change results (thread count, span tracing, time skip,
     /// cancellation token) normalized out so a resume on a different
     /// machine still matches. Shared with the sweep service, whose job
     /// manifests must certify slots with the same identity.
@@ -187,7 +187,6 @@ impl SweepRunner {
         c.threads = None;
         c.spans = false;
         c.time_skip = None;
-        c.test_stall_shard = None;
         // A token only shortens runs that are then discarded whole; a
         // certified result is identical with or without one. Masking it
         // also keeps the hash stable across token identities (the Debug
@@ -657,16 +656,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fingerprint_masks_parallelism_and_test_hooks() {
+    fn fingerprint_masks_result_neutral_fields() {
         let base = SimConfig::paper_default(microbank_workloads::suite::Workload::MixHigh);
         let fp0 = SweepRunner::config_fingerprint(&base);
-        let mut threaded = base.clone();
-        threaded.threads = Some(8);
-        threaded.test_stall_shard = Some(3);
-        threaded.spans = true;
-        threaded.time_skip = Some(false);
-        threaded.cancel = Some(crate::simulator::CancelToken::default());
-        assert_eq!(fp0, SweepRunner::config_fingerprint(&threaded));
+        let mut neutral = base.clone();
+        neutral.threads = Some(1);
+        neutral.spans = true;
+        neutral.time_skip = Some(false);
+        neutral.cancel = Some(crate::simulator::CancelToken::default());
+        assert_eq!(fp0, SweepRunner::config_fingerprint(&neutral));
         // A tripped token must not change the hash either (Debug shows
         // the trip state; the mask removes it before rendering).
         let tripped = crate::simulator::CancelToken::default();

@@ -14,7 +14,8 @@ use microbank_ctrl::policy::PolicyKind;
 use microbank_ctrl::predictor::PredictorKind;
 use microbank_ctrl::scheduler::SchedulerKind;
 use microbank_faults::FaultConfig;
-use microbank_sim::simulator::{golden_fingerprint, run, SimConfig};
+use microbank_sim::simulator::{golden_fingerprint, run, run_instrumented, SimConfig, SimResult};
+use microbank_telemetry::TelemetryConfig;
 use microbank_workloads::suite::Workload;
 
 /// Committed fingerprints (regenerated only on deliberate behavior change).
@@ -285,6 +286,52 @@ fn config_for(part: &str, sched: &str, policy: &str) -> SimConfig {
     cfg
 }
 
+/// A short paper-default run over all 16 channels: the configuration
+/// class where cross-channel merges (stats, heat, epoch rows, reliability
+/// counters) actually combine more than one controller.
+fn multi_channel_cfg() -> SimConfig {
+    let mut cfg = SimConfig::paper_default(Workload::MixHigh);
+    cfg.warmup_cycles = 5_000;
+    cfg.measure_cycles = 15_000;
+    cfg
+}
+
+/// Full-result equality beyond the fingerprint: every simulated-behavior
+/// field must match bit for bit (profile timings excluded — they are wall
+/// clock by definition).
+fn assert_results_identical(a: &SimResult, b: &SimResult, tag: &str) {
+    assert_eq!(
+        golden_fingerprint(a),
+        golden_fingerprint(b),
+        "{tag}: fingerprint diverged"
+    );
+    assert_eq!(a.dram, b.dram, "{tag}: DRAM counter delta diverged");
+    assert_eq!(
+        a.per_core_committed, b.per_core_committed,
+        "{tag}: per-core committed diverged"
+    );
+    for (what, x, y) in [
+        (
+            "mean read latency",
+            a.mean_read_latency,
+            b.mean_read_latency,
+        ),
+        (
+            "queue occupancy",
+            a.mean_queue_occupancy,
+            b.mean_queue_occupancy,
+        ),
+        ("policy hit rate", a.policy_hit_rate, b.policy_hit_rate),
+    ] {
+        assert_eq!(x.to_bits(), y.to_bits(), "{tag}: {what} diverged");
+    }
+    assert_eq!(
+        a.read_latency_hist, b.read_latency_hist,
+        "{tag}: latency histogram diverged"
+    );
+    assert_eq!(a.reliability, b.reliability, "{tag}: reliability diverged");
+}
+
 #[test]
 fn golden_fingerprints_are_reproduced() {
     let mut failures = Vec::new();
@@ -375,21 +422,80 @@ fn per_cycle_reference_reproduces_golden_fingerprints() {
     }
 }
 
-/// Satellite of the `faults.is_some()` horizon fix: a clean-*armed* fault
-/// engine (ECC on, no scrubber) no longer pins the controller to
-/// per-cycle ticking, and the skipping run is fingerprint-identical to
-/// the per-cycle reference with the same engine attached.
+/// Event-driven time skipping (DESIGN §5f) and span tracing change wall
+/// time only: on a multi-channel instrumented run, the per-cycle untraced
+/// reference is reproduced bit for bit — every result field, the epoch
+/// time-series, the per-μbank heat maps, and the command trace — across
+/// the full {skip on, off} × {spans on, off} cross. Traced runs carry the
+/// fine-grained drive split; untraced runs keep only the coarse phases.
 #[test]
-fn clean_armed_fault_engine_is_skip_neutral() {
-    for &(part, sched, policy) in &[("8x8", "parbs", "pred"), ("1x1", "frfcfs", "open")] {
-        let mk = || config_for(part, sched, policy).with_faults(FaultConfig::new(7));
-        let per_cycle = run(&mk().with_time_skip(false));
-        let skipping = run(&mk().with_time_skip(true));
+fn time_skip_and_span_tracing_are_behavior_neutral() {
+    let cfg = multi_channel_cfg().with_telemetry(TelemetryConfig::new(2_500, 4_096));
+    let (r_ref, t_ref) = run_instrumented(&cfg.clone().with_time_skip(false));
+    for (skip, spans) in [(true, false), (true, true), (false, true)] {
+        let (r, t) = run_instrumented(&cfg.clone().with_time_skip(skip).with_spans(spans));
+        let tag = format!("skip {skip}, spans {spans}");
+        assert_results_identical(&r_ref, &r, &tag);
         assert_eq!(
-            golden_fingerprint(&per_cycle),
-            golden_fingerprint(&skipping),
-            "{part}/{sched}/{policy}: clean-armed engine diverged across the skip axis"
+            t_ref.timeline.to_csv(),
+            t.timeline.to_csv(),
+            "{tag}: epoch time-series diverged"
         );
+        assert_eq!(t_ref.heat.len(), t.heat.len());
+        for (ch, (a, b)) in t_ref.heat.iter().zip(&t.heat).enumerate() {
+            assert_eq!(
+                a.to_csv(),
+                b.to_csv(),
+                "{tag}: channel {ch} heat map diverged"
+            );
+        }
+        assert_eq!(t_ref.trace, t.trace, "{tag}: command trace diverged");
+        assert_eq!(t_ref.trace_pushed, t.trace_pushed);
+        assert_eq!(t_ref.trace_dropped, t.trace_dropped);
+        let fine = ["drive/ctrl-tick", "drive/cpu-and-noc"];
+        let paths: Vec<&str> = r.profile.spans.iter().map(|s| s.path.as_str()).collect();
+        assert_eq!(
+            fine.iter().all(|p| paths.contains(p)),
+            spans,
+            "{tag}: fine-grained drive spans present iff traced: {paths:?}"
+        );
+    }
+    assert!(
+        r_ref
+            .profile
+            .spans
+            .iter()
+            .all(|s| !["ctrl-tick", "cpu-and-noc"].contains(&s.name.as_str())),
+        "untraced run leaked fine-grained spans: {:?}",
+        r_ref.profile.spans
+    );
+}
+
+/// The skip axis composes with the reliability engine. A clean-*armed*
+/// engine (ECC on, no scrubber) no longer pins the controller to
+/// per-cycle ticking; a stress configuration (defects, flips, scrubber
+/// armed) on all 16 channels runs largely per-cycle — the scrub schedule
+/// and demand retries pin the horizon. Either way the skipping run must
+/// reproduce the per-cycle reference, reliability counters included.
+#[test]
+fn armed_fault_engine_is_skip_neutral() {
+    let mut cases: Vec<(String, SimConfig)> = [("8x8", "parbs", "pred"), ("1x1", "frfcfs", "open")]
+        .iter()
+        .map(|&(part, sched, policy)| {
+            (
+                format!("{part}/{sched}/{policy} clean-armed"),
+                config_for(part, sched, policy).with_faults(FaultConfig::new(7)),
+            )
+        })
+        .collect();
+    cases.push((
+        "16-channel stress".to_string(),
+        multi_channel_cfg().with_faults(FaultConfig::stress(0xFA_017)),
+    ));
+    for (tag, cfg) in cases {
+        let per_cycle = run(&cfg.clone().with_time_skip(false));
+        let skipping = run(&cfg.with_time_skip(true));
+        assert_results_identical(&per_cycle, &skipping, &format!("{tag}, skip axis"));
     }
 }
 

@@ -1,7 +1,7 @@
 //! Live observability suite: the sweep status surface (status.json +
 //! HTTP endpoint), the metrics exposition, and the result exporter.
 //! Everything here is observation — the companion invariance tests
-//! (`parallel_invariance.rs`, `failsafe.rs`) pin down that none of it
+//! (`integration_golden.rs`, `failsafe.rs`) pin down that none of it
 //! can change simulated results.
 
 use microbank_sim::simulator::{try_run, SimConfig};

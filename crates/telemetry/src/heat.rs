@@ -54,7 +54,7 @@ impl HeatCounters {
 
     /// Accumulate another channel's counters (element-wise; shapes must
     /// match — i.e. both channels share one `MemConfig`). Saturating, so a
-    /// cross-shard merge of counters near `u64::MAX` pins at the ceiling
+    /// cross-channel merge of counters near `u64::MAX` pins at the ceiling
     /// instead of wrapping (the same contract as `Histogram::merge`).
     pub fn merge(&mut self, other: &HeatCounters) {
         assert_eq!(self.num_ubanks(), other.num_ubanks(), "heat shape mismatch");

@@ -153,7 +153,7 @@ pub fn to_chrome_json(records: &[CmdRecord]) -> String {
 
 /// Like [`to_chrome_json`], additionally merging harness span rows (see
 /// [`crate::span::SpanRow`]) as duration events under [`HARNESS_PID`],
-/// with `tid` = lane (0 = coordinator/main, 1+w = shard worker w).
+/// with `tid` = lane.
 /// Device events use simulated time, harness events wall time — the two
 /// timebases share a `ts` axis only nominally, which is fine for the
 /// intended use (eyeballing where harness time goes next to what the
@@ -332,10 +332,10 @@ mod tests {
         t.push(rec(10, CmdKind::Act));
         t.push(rec(14, CmdKind::Rd));
         let spans = vec![crate::span::SpanRow {
-            path: "drive/worker-0/spin-wait".to_string(),
-            name: "spin-wait".to_string(),
-            depth: 2,
-            lane: 1,
+            path: "drive/ctrl-tick".to_string(),
+            name: "ctrl-tick".to_string(),
+            depth: 1,
+            lane: 0,
             start_secs: 0.001,
             secs: 0.5,
             count: 42,

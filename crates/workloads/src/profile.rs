@@ -9,10 +9,8 @@
 //! bank-level parallelism (concurrent streams), read/write mix, and
 //! inter-thread sharing for the multithreaded suites.
 
-use serde::{Deserialize, Serialize};
-
 /// Statistical profile of one application (per hardware thread).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppProfile {
     pub name: &'static str,
     /// Fraction of instruction slots that are memory accesses (~0.3 for

@@ -8,10 +8,9 @@
 //! and blends, with hot-set fractions calibrated to the group's MAPKI class.
 
 use crate::profile::AppProfile;
-use serde::{Deserialize, Serialize};
 
 /// Table II group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpecGroup {
     High,
     Med,

@@ -9,7 +9,6 @@ use crate::profile::AppProfile;
 use crate::spec::{self, SpecGroup};
 use crate::synth::SynthSource;
 use microbank_core::request::TenantId;
-use serde::{Deserialize, Serialize};
 
 /// TPC-H: decision-support scans — long sequential runs, many concurrent
 /// streams per worker, read-mostly. High spatial locality that bank
@@ -107,7 +106,7 @@ pub fn canneal() -> AppProfile {
 }
 
 /// A named run configuration for the experiment harness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Workload {
     /// One SPEC application, rate mode (a copy on every core).
     Spec(&'static str),

@@ -11,13 +11,14 @@
 //! count) followed by 13-byte records: `gap: u32` (compute instructions
 //! preceding the access), `addr: u64`, `flags: u8` (bit 0 = write).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use microbank_cpu::instr::{Instr, InstrSource};
 use std::io::{self, Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"MBTR";
 const VERSION: u32 = 1;
+const HEADER_BYTES: usize = 16;
+const RECORD_BYTES: usize = 13;
 
 /// One memory access with its preceding compute gap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,48 +57,49 @@ impl Trace {
     }
 
     /// Serialize to the compact binary format.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16 + self.records.len() * 13);
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u64_le(self.records.len() as u64);
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(HEADER_BYTES + self.records.len() * RECORD_BYTES);
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&(self.records.len() as u64).to_le_bytes());
         for r in &self.records {
-            buf.put_u32_le(r.gap);
-            buf.put_u64_le(r.addr);
-            buf.put_u8(r.is_write as u8);
+            buf.extend_from_slice(&r.gap.to_le_bytes());
+            buf.extend_from_slice(&r.addr.to_le_bytes());
+            buf.push(r.is_write as u8);
         }
-        buf.freeze()
+        buf
     }
 
-    /// Parse the binary format.
-    pub fn from_bytes(mut data: Bytes) -> io::Result<Self> {
+    /// Parse the binary format. The record count comes from the file, so
+    /// the size check uses checked arithmetic: a corrupt count is
+    /// `InvalidData`, never an overflow.
+    pub fn from_bytes(data: &[u8]) -> io::Result<Self> {
         let bad = |m: &str| io::Error::new(io::ErrorKind::InvalidData, m.to_string());
-        if data.remaining() < 16 {
+        let Some((header, body)) = data.split_first_chunk::<HEADER_BYTES>() else {
             return Err(bad("truncated header"));
-        }
-        let mut magic = [0u8; 4];
-        data.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
+        };
+        let le = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte field"));
+        if &header[..4] != MAGIC {
             return Err(bad("bad magic"));
         }
-        if data.get_u32_le() != VERSION {
+        if header[4..8] != VERSION.to_le_bytes() {
             return Err(bad("unsupported version"));
         }
-        let n = data.get_u64_le() as usize;
-        if data.remaining() < n * 13 {
+        let n = usize::try_from(le(&header[8..])).unwrap_or(usize::MAX);
+        if n.checked_mul(RECORD_BYTES)
+            .is_none_or(|len| body.len() < len)
+        {
             return Err(bad("truncated records"));
         }
-        let mut records = Vec::with_capacity(n);
-        for _ in 0..n {
-            let gap = data.get_u32_le();
-            let addr = data.get_u64_le();
-            let flags = data.get_u8();
-            records.push(TraceRecord {
-                gap,
-                addr,
-                is_write: flags & 1 != 0,
-            });
-        }
+        let records = body
+            .chunks_exact(RECORD_BYTES)
+            .take(n)
+            .map(|r| TraceRecord {
+                gap: u32::from_le_bytes(r[..4].try_into().expect("4-byte field")),
+                addr: le(&r[4..12]),
+                is_write: r[12] & 1 != 0,
+            })
+            .collect();
         Ok(Trace { records })
     }
 
@@ -112,7 +114,7 @@ impl Trace {
         let mut f = std::fs::File::open(path)?;
         let mut buf = Vec::new();
         f.read_to_end(&mut buf)?;
-        Self::from_bytes(Bytes::from(buf))
+        Self::from_bytes(&buf)
     }
 
     pub fn len(&self) -> usize {
@@ -190,20 +192,24 @@ mod tests {
     fn bytes_roundtrip() {
         let mut s = synth();
         let t = Trace::record(&mut s, 257);
-        let back = Trace::from_bytes(t.to_bytes()).unwrap();
+        let back = Trace::from_bytes(&t.to_bytes()).unwrap();
         assert_eq!(t, back);
     }
 
     #[test]
     fn corrupt_data_is_rejected() {
-        assert!(Trace::from_bytes(Bytes::from_static(b"nope")).is_err());
+        assert!(Trace::from_bytes(b"nope").is_err());
         let mut s = synth();
         let good = Trace::record(&mut s, 4).to_bytes();
-        let truncated = good.slice(0..good.len() - 5);
-        assert!(Trace::from_bytes(truncated).is_err());
-        let mut wrong_magic = good.to_vec();
+        assert!(Trace::from_bytes(&good[..good.len() - 5]).is_err());
+        let mut wrong_magic = good.clone();
         wrong_magic[0] = b'X';
-        assert!(Trace::from_bytes(Bytes::from(wrong_magic)).is_err());
+        assert!(Trace::from_bytes(&wrong_magic).is_err());
+        // A record count whose byte length overflows usize.
+        let mut huge_count = good[..8].to_vec();
+        huge_count.extend_from_slice(&(u64::MAX / 13 + 1).to_le_bytes());
+        let err = Trace::from_bytes(&huge_count).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
