@@ -14,8 +14,8 @@
 //! throughput against the baseline file and exits nonzero when it fell
 //! more than FRAC (default 0.25) below it — the CI perf-smoke gate.
 //! `--floor` adds an absolute gate: the fresh (16,16) number must be at
-//! least MCPS simulated Mcycles/s, so the event-driven core can never
-//! quietly regress below a committed per-cycle-era baseline even if the
+//! least MCPS simulated Mcycles/s, so the simulator can never quietly
+//! regress below a committed per-cycle-era baseline even if the
 //! checked-in baseline file drifts upward.
 
 use microbank_sim::simulator::{run, SimConfig};

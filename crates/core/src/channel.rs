@@ -83,6 +83,11 @@ pub struct Channel {
     ubanks_per_rank: usize,
     banks_per_rank: usize,
     n_w: usize,
+    /// `log2(ubanks_per_rank)` and `log2(ubanks_per_bank)`: every command
+    /// maps its flat μbank to a rank (and, under variant rules, a bank),
+    /// so the hot path shifts instead of dividing.
+    rank_shift: u32,
+    bank_shift: u32,
     banks: Vec<MicrobankState>,
     ranks: Vec<RankState>,
     /// Earliest cycle the next command may occupy the command bus.
@@ -122,9 +127,15 @@ impl Channel {
         let ubanks_per_rank = cfg.banks_per_rank * ubanks_per_bank;
         let total = ubanks_per_rank * cfg.ranks_per_channel;
         let physical_banks = cfg.banks_per_rank * cfg.ranks_per_channel;
+        assert!(
+            ubanks_per_bank.is_power_of_two() && cfg.banks_per_rank.is_power_of_two(),
+            "μbanks per bank and banks per rank must be powers of two"
+        );
         Channel {
             t,
             ubanks_per_rank,
+            rank_shift: ubanks_per_rank.trailing_zeros(),
+            bank_shift: ubanks_per_bank.trailing_zeros(),
             banks_per_rank: cfg.banks_per_rank,
             n_w: cfg.ubank.n_w,
             banks: vec![MicrobankState::new(); total],
@@ -174,14 +185,14 @@ impl Channel {
     }
 
     fn rank_of(&self, flat: usize) -> usize {
-        flat / self.ubanks_per_rank
+        flat >> self.rank_shift
     }
 
     /// Global physical-bank index of a μbank. μbanks of one physical bank
     /// are contiguous in `banks` (`flat = (rank·banksPerRank + bank)·
-    /// ubanksPerBank + within`), so this is a single divide.
+    /// ubanksPerBank + within`), so this is a single shift.
     fn bank_of(&self, flat: usize) -> usize {
-        flat / self.ubanks_per_bank
+        flat >> self.bank_shift
     }
 
     /// The variant's structural issue rules (as stored at construction).
@@ -494,8 +505,8 @@ impl Channel {
     }
 
     /// Cycle at which `rank`'s next refresh becomes due (`None` when
-    /// refresh is disabled). Lets the controller report how long it is
-    /// provably inert so the simulator can skip its idle ticks.
+    /// refresh is disabled): an idle controller sleeps until then at the
+    /// latest.
     pub fn next_refresh_at(&self, rank: usize) -> Option<Cycle> {
         self.refresh_enabled.then(|| self.ranks[rank].refresh_due)
     }
@@ -601,119 +612,6 @@ impl Channel {
     /// Open row of the μbank addressed by `loc` (by flat index).
     pub fn open_row_flat(&self, flat: usize) -> Option<u32> {
         self.banks[flat].open_row
-    }
-
-    // ---- Earliest-legal-cycle duals of the `can_*` predicates. ----
-    //
-    // Every `can_*` check is a conjunction of monotone thresholds on `now`
-    // (`now >= timer`), so with the channel state frozen each predicate has
-    // an exact first-true cycle: the max of its timers. The controller's
-    // `next_event` folds these to prove how long it can sleep; the duals
-    // below MUST stay in lockstep with their predicates (pinned by the
-    // `earliest_*_duals_are_exact` tests).
-
-    /// Earliest cycle `rank` can accept any command: end of an in-flight
-    /// refresh and of a power-down exit (tXP). A rank that is powered down
-    /// stays unavailable until an external wake event, so it reports
-    /// "never" — callers bail out of skipping before that matters.
-    fn rank_ready_at(&self, rank: usize) -> Cycle {
-        let rs = &self.ranks[rank];
-        if rs.powered_down {
-            return Cycle::MAX;
-        }
-        rs.refresh_until.max(rs.wake_ready)
-    }
-
-    /// Earliest cycle [`Channel::can_activate_flat`] becomes true with the
-    /// channel state frozen. `Cycle::MAX` while the μbank holds an open row
-    /// (a PRE — itself a folded event — must land first).
-    pub fn earliest_activate_flat(&self, flat: usize) -> Cycle {
-        let b = &self.banks[flat];
-        if b.open_row.is_some() {
-            return Cycle::MAX;
-        }
-        let rank = self.rank_of(flat);
-        let rs = &self.ranks[rank];
-        let mut t = self.next_cmd.max(self.rank_ready_at(rank)).max(b.next_act);
-        if let Some(a) = rs.last_act {
-            t = t.max(a + self.t.t_rrd);
-        }
-        if rs.act_window.len() == FAW_ACTS {
-            t = t.max(rs.act_window[0] + self.t.t_faw);
-        }
-        t
-    }
-
-    /// Earliest cycle a column command to `flat`'s currently open row
-    /// becomes legal ([`Channel::can_column_flat`] dual). The caller must
-    /// have checked that the open row matches the request; `Cycle::MAX`
-    /// while the μbank is precharged.
-    pub fn earliest_column_flat(&self, flat: usize, is_write: bool) -> Cycle {
-        let b = &self.banks[flat];
-        if b.open_row.is_none() {
-            return Cycle::MAX;
-        }
-        let rank = self.rank_of(flat);
-        let lat = if is_write { self.t.t_cwl } else { self.t.t_aa };
-        let mut t = self
-            .next_cmd
-            .max(self.next_col_cmd)
-            .max(self.rank_ready_at(rank))
-            .max(b.next_col)
-            // `burst_start = now + lat >= data_free` solved for `now`.
-            .max(self.data_free.saturating_sub(lat));
-        if !is_write {
-            t = t.max(self.ranks[rank].last_wr_data_end + self.t.t_wtr);
-        }
-        // Shared-global-bitline release is a frozen timer, so the dual
-        // stays exact: a non-owner subarray's first legal cycle includes
-        // the in-flight burst's end.
-        if self.rules.shared_global_bitlines {
-            let bank = self.bank_of(flat);
-            if self.gbl_owner[bank] != flat as u32 {
-                t = t.max(self.gbl_busy_until[bank]);
-            }
-        }
-        t
-    }
-
-    /// Earliest cycle [`Channel::can_activate_row_flat`] becomes true with
-    /// the channel state frozen ([`Channel::earliest_activate_flat`] plus
-    /// the variant's structural rules). A structural blocker is pure bank
-    /// *state* — it only clears when some PRE lands, itself a folded
-    /// event — so a blocked ACT reports `Cycle::MAX`, exactly like an ACT
-    /// into a μbank that still holds an open row.
-    pub fn earliest_activate_row_flat(&self, flat: usize, row: u32) -> Cycle {
-        if self.act_blocker(flat, row).is_some() {
-            return Cycle::MAX;
-        }
-        self.earliest_activate_flat(flat)
-    }
-
-    /// Earliest cycle [`Channel::can_precharge_flat`] becomes true;
-    /// `Cycle::MAX` while the μbank is already precharged.
-    pub fn earliest_precharge_flat(&self, flat: usize) -> Cycle {
-        let b = &self.banks[flat];
-        if b.open_row.is_none() {
-            return Cycle::MAX;
-        }
-        let rank = self.rank_of(flat);
-        self.next_cmd.max(self.rank_ready_at(rank)).max(b.next_pre)
-    }
-
-    /// Earliest cycle [`Channel::can_precharge_all`] becomes true for
-    /// `rank` (command bus free and every open μbank past its tRAS/tRTP/tWR
-    /// precharge preconditions — PREA deliberately checks neither refresh
-    /// nor power-down state, and neither does this dual).
-    pub fn earliest_precharge_all(&self, rank: usize) -> Cycle {
-        let lo = rank * self.ubanks_per_rank;
-        let mut t = self.next_cmd;
-        for b in &self.banks[lo..lo + self.ubanks_per_rank] {
-            if b.open_row.is_some() {
-                t = t.max(b.next_pre);
-            }
-        }
-        t
     }
 }
 
@@ -989,104 +887,92 @@ mod tests {
         assert_eq!(ch.stats.activates, 16);
     }
 
-    /// With the channel state frozen, each `earliest_*` dual must be the
-    /// exact first-true cycle of its `can_*` predicate: false strictly
-    /// before it, true at it (checked over a window that spans tRC, tFAW,
-    /// and the data-bus/turnaround constraints).
-    fn assert_dual_exact(
-        tag: &str,
-        earliest: Cycle,
-        horizon: Cycle,
-        mut can: impl FnMut(Cycle) -> bool,
-    ) {
-        for now in 0..horizon {
-            assert_eq!(
-                can(now),
-                now >= earliest,
-                "{tag}: can(now={now}) disagrees with earliest={earliest}"
-            );
-        }
+    /// First cycle in `from..horizon` at which `can` holds, checking it
+    /// keeps holding through `horizon` with the channel state frozen
+    /// (every `can_*` predicate is a conjunction of `now >= timer`
+    /// thresholds, so legality never lapses without a new command).
+    fn first_legal(tag: &str, from: Cycle, horizon: Cycle, can: impl Fn(Cycle) -> bool) -> Cycle {
+        let first = (from..horizon)
+            .find(|&c| can(c))
+            .unwrap_or_else(|| panic!("{tag}: never legal in {from}..{horizon}"));
+        assert!(
+            (first..horizon).all(&can),
+            "{tag}: legal at {first}, then illegal again"
+        );
+        first
     }
 
     #[test]
-    fn earliest_duals_are_exact_across_command_mix() {
+    fn command_mix_first_legal_cycles_follow_timings() {
         let (cfg, mut ch) = setup(2, 2);
         let t = *ch.timings();
-        let horizon = 4 * (t.t_rc() + t.t_faw + t.t_refi.min(10_000));
+        let horizon = 4 * (t.t_rc() + t.t_faw);
         let la = loc(0, 0, 0, 7);
         let lb = loc(1, 1, 1, 3);
         let fa = la.ubank_flat(&cfg);
         let fb = lb.ubank_flat(&cfg);
-        // Drive a little history so every timer (tRRD window, data bus,
-        // write-to-read turnaround, tRAS) is armed, checking the dual
-        // against the predicate at each step.
-        let mut now = 0;
-        ch.activate_flat(fa, la.row, now);
-        assert_dual_exact(
-            "act b after act a",
-            ch.earliest_activate_flat(fb),
-            horizon,
-            |c| ch.can_activate_flat(fb, c),
-        );
-        now = ch.earliest_activate_flat(fb);
-        ch.activate_flat(fb, lb.row, now);
-        assert_dual_exact(
-            "wr a after two acts",
-            ch.earliest_column_flat(fa, true),
-            horizon,
-            |c| ch.can_column_flat(fa, la.row, true, c),
-        );
-        now = ch.earliest_column_flat(fa, true);
-        ch.write_flat(fa, now);
-        // Read on the sibling bank now faces tCCD + data bus + tWTR.
-        assert_dual_exact(
-            "rd b after wr a",
-            ch.earliest_column_flat(fb, false),
-            horizon,
-            |c| ch.can_column_flat(fb, lb.row, false, c),
-        );
-        now = ch.earliest_column_flat(fb, false);
-        ch.read_flat(fb, now);
-        // Precharge duals: tRAS on a, read-to-precharge on b.
-        assert_dual_exact("pre a", ch.earliest_precharge_flat(fa), horizon, |c| {
-            ch.can_precharge_flat(fa, c)
+        ch.activate_flat(fa, la.row, 0);
+        // ACT to another bank: command bus and tRRD.
+        let act_b = first_legal("act b", 0, horizon, |c| ch.can_activate_flat(fb, c));
+        assert_eq!(act_b, t.t_rrd.max(t.t_cmd));
+        ch.activate_flat(fb, lb.row, act_b);
+        // WR to a: tRCD from its ACT, command bus after b's ACT.
+        let wr_a = first_legal("wr a", 0, horizon, |c| {
+            ch.can_column_flat(fa, la.row, true, c)
         });
-        assert_dual_exact("prea rank 0", ch.earliest_precharge_all(0), horizon, |c| {
-            ch.can_precharge_all(0, c)
+        assert_eq!(wr_a, t.t_rcd.max(act_b + t.t_cmd));
+        let wr_done = ch.write_flat(fa, wr_a);
+        // RD to b: tCCD, the data bus, write-to-read turnaround, tRCD.
+        let rd_b = first_legal("rd b", 0, horizon, |c| {
+            ch.can_column_flat(fb, lb.row, false, c)
         });
-        now = ch.earliest_precharge_all(0);
-        ch.precharge_all(0, now);
-        // Closed banks: column dual reports "never", activate is finite.
-        assert_eq!(ch.earliest_column_flat(fa, false), Cycle::MAX);
-        assert_eq!(ch.earliest_precharge_flat(fa), Cycle::MAX);
-        assert_dual_exact(
-            "re-act a after prea",
-            ch.earliest_activate_flat(fa),
-            horizon,
-            |c| ch.can_activate_flat(fa, c),
-        );
+        let data_free = wr_a + t.t_cwl + t.t_burst;
+        let expect = [
+            wr_a + t.t_ccd,
+            wr_a + t.t_cmd,
+            data_free.saturating_sub(t.t_aa),
+            wr_done + t.t_wtr,
+            act_b + t.t_rcd,
+        ];
+        assert_eq!(rd_b, expect.into_iter().max().unwrap());
+        ch.read_flat(fb, rd_b);
+        // PRE a: tRAS from its ACT and write recovery after its burst.
+        let pre_a = first_legal("pre a", 0, horizon, |c| ch.can_precharge_flat(fa, c));
+        assert_eq!(pre_a, t.t_ras.max(wr_done + t.t_wr).max(rd_b + t.t_cmd));
+        // PREA waits for the later of the two open banks.
+        let pre_b = first_legal("pre b", 0, horizon, |c| ch.can_precharge_flat(fb, c));
+        let prea = first_legal("prea", 0, horizon, |c| ch.can_precharge_all(0, c));
+        assert_eq!(prea, pre_a.max(pre_b));
+        ch.precharge_all(0, prea);
+        // Closed banks: no column or PRE; the re-ACT waits out tRP.
+        assert!(!ch.can_column_flat(fa, la.row, false, horizon));
+        assert!(!ch.can_precharge_flat(fa, horizon));
+        let react = first_legal("re-act a", prea, horizon, |c| ch.can_activate_flat(fa, c));
+        assert_eq!(react, prea + t.t_rp.max(t.t_cmd));
     }
 
     #[test]
-    fn earliest_activate_saturates_tfaw_window() {
+    fn fifth_activate_waits_out_tfaw_window() {
         let (cfg, mut ch) = setup(4, 4);
+        let t = *ch.timings();
         let mut now = 0;
-        // Fill the 4-deep ACT window, then the dual must report the tFAW
-        // edge for a fifth activate.
+        let mut first_act = None;
+        // Fill the 4-deep ACT window as fast as tRRD allows; a fifth ACT
+        // must then wait for the window's oldest ACT plus tFAW.
         for i in 0..4u8 {
             let l = loc(0, i % 4, i / 4, i as u32);
             let f = l.ubank_flat(&cfg);
-            now = ch.earliest_activate_flat(f).max(now);
+            now = first_legal("fill", now, now + t.t_faw, |c| ch.can_activate_flat(f, c));
+            first_act.get_or_insert(now);
             ch.activate_flat(f, l.row, now);
         }
-        let l5 = loc(1, 0, 0, 42);
-        let f5 = l5.ubank_flat(&cfg);
-        let horizon = now + 2 * ch.timings().t_faw;
-        assert_dual_exact(
-            "5th act across tFAW",
-            ch.earliest_activate_flat(f5),
-            horizon,
-            |c| ch.can_activate_flat(f5, c),
+        let f5 = loc(1, 0, 0, 42).ubank_flat(&cfg);
+        let fifth = first_legal("5th act", now, now + 2 * t.t_faw, |c| {
+            ch.can_activate_flat(f5, c)
+        });
+        assert_eq!(
+            fifth,
+            (first_act.unwrap() + t.t_faw).max(now + t.t_rrd.max(t.t_cmd))
         );
     }
 
@@ -1100,11 +986,12 @@ mod tests {
     fn default_variants_have_no_structural_blockers() {
         let (cfg, mut ch) = setup(4, 4);
         assert!(!ch.variant_rules().any());
+        let t = *ch.timings();
         let mut now = 0;
         for b in 0..4u8 {
             let l = loc(0, 0, b, b as u32);
             let f = l.ubank_flat(&cfg);
-            now = ch.earliest_activate_flat(f).max(now);
+            now = first_legal("act", now, now + t.t_faw, |c| ch.can_activate_flat(f, c));
             ch.activate_flat(f, l.row, now);
         }
         // Plenty of open siblings, arbitrary rows: never a blocker, and
@@ -1112,10 +999,12 @@ mod tests {
         let l = loc(0, 1, 0, 99);
         let f = l.ubank_flat(&cfg);
         assert_eq!(ch.act_blocker(f, 99), None);
-        assert_eq!(
-            ch.earliest_activate_row_flat(f, 99),
-            ch.earliest_activate_flat(f)
-        );
+        for c in now..now + 2 * t.t_faw {
+            assert_eq!(
+                ch.can_activate_row_flat(f, 99, c),
+                ch.can_activate_flat(f, c)
+            );
+        }
     }
 
     #[test]
@@ -1130,26 +1019,34 @@ mod tests {
         let l1 = loc(0, 0, 1, 3);
         let (f0, f1) = (l0.ubank_flat(&cfg), l1.ubank_flat(&cfg));
         // MASA: both subarrays of bank 0 may hold open rows.
-        let mut now = 0;
-        ch.activate_flat(f0, l0.row, now);
-        now = ch.earliest_activate_row_flat(f1, l1.row);
-        assert_ne!(now, Cycle::MAX, "MASA allows a second open subarray");
-        ch.activate_flat(f1, l1.row, now);
+        let horizon = 4 * (t.t_rc() + t.t_faw);
+        ch.activate_flat(f0, l0.row, 0);
+        // MASA allows a second open subarray.
+        let act1 = first_legal("masa act", 0, horizon, |c| {
+            ch.can_activate_row_flat(f1, l1.row, c)
+        });
+        ch.activate_flat(f1, l1.row, act1);
         // Subarray 0 streams a read; its burst owns the global bitlines.
-        let r0 = ch.earliest_column_flat(f0, false);
+        let r0 = first_legal("rd 0", act1, horizon, |c| {
+            ch.can_column_flat(f0, l0.row, false, c)
+        });
         let d0 = ch.read_flat(f0, r0);
         assert_eq!(d0, r0 + t.t_aa + t.t_burst);
         // The owner's next column sees only tCCD/data-bus limits; the
         // sibling subarray additionally waits for the burst to release
         // the shared bitlines (strictly later).
-        let own_next = ch.earliest_column_flat(f0, false);
-        let sib_next = ch.earliest_column_flat(f1, false);
-        assert!(sib_next >= d0, "sibling column before bitline release");
-        assert!(own_next < sib_next, "owner should stream back-to-back");
-        let horizon = d0 + 4 * t.t_rc();
-        assert_dual_exact("salp sibling col", sib_next, horizon, |c| {
+        let own_next = first_legal("own col", r0, d0 + horizon, |c| {
+            ch.can_column_flat(f0, l0.row, false, c)
+        });
+        let sib_next = first_legal("salp sibling col", r0, d0 + horizon, |c| {
             ch.can_column_flat(f1, l1.row, false, c)
         });
+        assert_eq!(
+            sib_next,
+            d0.max(own_next),
+            "sibling waits for bitline release"
+        );
+        assert!(own_next < sib_next, "owner should stream back-to-back");
     }
 
     #[test]
@@ -1168,22 +1065,21 @@ mod tests {
         // the blocker names the open μbank as the victim to precharge.
         assert_eq!(ch.act_blocker(f1, l1.row), Some(f0));
         assert!(!ch.can_activate_row_flat(f1, l1.row, 10 * t.t_rc()));
-        assert_eq!(ch.earliest_activate_row_flat(f1, l1.row), Cycle::MAX);
         // A different bank is unaffected (per-bank rule).
         let lb = loc(1, 0, 0, 5);
         let fb = lb.ubank_flat(&cfg);
         assert_eq!(ch.act_blocker(fb, lb.row), None);
-        // Precharge the victim: the block clears and the dual is exact.
-        let pre = ch.earliest_precharge_flat(f0);
+        // Precharge the victim: the block clears, and the sibling's ACT
+        // only waits on the command bus after the PRE.
+        let pre = first_legal("victim pre", 0, 4 * t.t_rc(), |c| {
+            ch.can_precharge_flat(f0, c)
+        });
         ch.precharge_flat(f0, pre);
         assert_eq!(ch.act_blocker(f1, l1.row), None);
-        let horizon = pre + 4 * t.t_rc();
-        assert_dual_exact(
-            "salp1 act after victim pre",
-            ch.earliest_activate_row_flat(f1, l1.row),
-            horizon,
-            |c| ch.can_activate_row_flat(f1, l1.row, c),
-        );
+        let act = first_legal("salp1 act after victim pre", pre, pre + 4 * t.t_rc(), |c| {
+            ch.can_activate_row_flat(f1, l1.row, c)
+        });
+        assert_eq!(act, pre + t.t_cmd);
     }
 
     #[test]
@@ -1200,43 +1096,36 @@ mod tests {
         ch.activate_flat(f0, 5, 0);
         // Different row: the single row decoder is held at row 5.
         assert_eq!(ch.act_blocker(f1, 6), Some(f0));
-        assert_eq!(ch.earliest_activate_row_flat(f1, 6), Cycle::MAX);
+        let horizon = 4 * (t.t_rc() + t.t_faw);
+        assert!((0..horizon).all(|c| !ch.can_activate_row_flat(f1, 6, c)));
         // Same row: sector-append ACT, no PRE required.
         assert_eq!(ch.act_blocker(f1, 5), None);
-        let horizon = 4 * (t.t_rc() + t.t_faw);
-        assert_dual_exact(
-            "sector append act",
-            ch.earliest_activate_row_flat(f1, 5),
-            horizon,
-            |c| ch.can_activate_row_flat(f1, 5, c),
-        );
-        let at = ch.earliest_activate_row_flat(f1, 5);
+        let at = first_legal("sector append act", 0, horizon, |c| {
+            ch.can_activate_row_flat(f1, 5, c)
+        });
+        assert_eq!(at, t.t_rrd.max(t.t_cmd));
         ch.activate_flat(f1, 5, at);
         // Both sectors now serve row 5 independently (no shared-bitline
         // rule for Sectored — each group has its own sense amps).
         assert_eq!(ch.open_row_flat(f0), Some(5));
         assert_eq!(ch.open_row_flat(f1), Some(5));
-        let c1 = ch.earliest_column_flat(f1, false);
+        let c1 = first_legal("rd 1", at, horizon, |c| ch.can_column_flat(f1, 5, false, c));
         ch.read_flat(f1, c1);
-        let c0 = ch.earliest_column_flat(f0, false);
-        assert_ne!(c0, Cycle::MAX);
+        first_legal("rd 0", c1, horizon, |c| ch.can_column_flat(f0, 5, false, c));
     }
 
     #[test]
-    fn earliest_duals_report_refresh_blackout() {
+    fn refresh_blackout_blocks_every_command_until_trfc() {
         let cfg = MemConfig::lpddr_tsi().with_ubanks(2, 2);
         let mut ch = Channel::new(&cfg);
+        let t = *ch.timings();
         let due = ch.next_refresh_at(0).expect("refresh on");
         ch.refresh(0, due);
-        let l = loc(0, 0, 0, 1);
-        let f = l.ubank_flat(&cfg);
-        // The rank is dark until tRFC elapses; the dual must not report a
-        // cycle inside the blackout.
-        assert_dual_exact(
-            "act during refresh",
-            ch.earliest_activate_flat(f),
-            due + 2 * ch.timings().t_rfc,
-            |c| ch.can_activate_flat(f, c),
-        );
+        let f = loc(0, 0, 0, 1).ubank_flat(&cfg);
+        // The rank is dark until tRFC elapses.
+        let act = first_legal("act during refresh", due, due + 2 * t.t_rfc, |c| {
+            ch.can_activate_flat(f, c)
+        });
+        assert_eq!(act, due + t.t_rfc);
     }
 }

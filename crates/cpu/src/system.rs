@@ -407,12 +407,12 @@ pub struct CmpSystem<S: InstrSource> {
     /// `i` can make no progress before `core_wake[i]` — its ROB is full
     /// with an unready head, or its dispatch is wedged on an MSHR-stalled
     /// replay — so ticking it would only bump the stall counter named by
-    /// `core_stall[i]`, which the skip accounts directly. Any fill for
+    /// `core_stall[i]`, which [`CmpSystem::tick`] bumps directly. Any fill for
     /// the core (or, for MSHR wedges, any fill to its cluster that frees
     /// an MSHR) resets its entry to 0 (see [`CmpSystem::on_fill`]).
     core_wake: Vec<Cycle>,
-    /// Which stall counter each quiesced core accrues per skipped cycle
-    /// (valid while `core_wake[i] > now`; see [`Core::quiesced_until`]).
+    /// Which stall counter each quiesced core accrues per cycle (valid
+    /// while `core_wake[i] > now`; see [`Core::quiesced_until`]).
     core_stall: Vec<StallKind>,
 }
 
@@ -490,63 +490,6 @@ impl<S: InstrSource> CmpSystem<S> {
             let (wake, stall) = core.quiesced_until();
             self.core_wake[i] = wake;
             self.core_stall[i] = stall;
-        }
-    }
-
-    /// Earliest cycle after `now` at which [`CmpSystem::tick`] could do
-    /// anything beyond bulk-accountable stalls (ROB-full or MSHR-wedged,
-    /// per [`Core::quiesced_until`]), with CPU state frozen. Returns
-    /// `now + 1` ("must tick next cycle") while the submit backlog is
-    /// non-empty (each failed retry mutates controller reject counters)
-    /// or any core can make progress; otherwise the minimum `core_wake` —
-    /// every skipped cycle up to (exclusive) that horizon would only run
-    /// the per-core stall-skip branch, which
-    /// [`CmpSystem::account_skipped_cycles`] replays in bulk. A fill
-    /// ([`CmpSystem::on_fill`]) resets `core_wake` and thereby ends any
-    /// skip stretch; the drive loop delivers fills before re-asking.
-    pub fn next_event(&self, now: Cycle) -> Cycle {
-        if !self.uncore.backlog.is_empty() {
-            return now + 1;
-        }
-        self.core_horizon(now)
-    }
-
-    /// The core half of [`CmpSystem::next_event`]: earliest cycle any
-    /// *core* could make progress, ignoring the submit backlog (minimum
-    /// `core_wake`, or `now + 1` while some core is unstalled). A caller
-    /// that jumps past cycles with a non-empty backlog must prove each
-    /// skipped cycle's head retry fails — the head targets a full
-    /// controller queue and that controller does not tick inside the jump
-    /// — and replay the failed attempts
-    /// ([`MemoryController::account_rejected`] in `microbank-ctrl`).
-    pub fn core_horizon(&self, now: Cycle) -> Cycle {
-        let mut min = Cycle::MAX;
-        for &w in &self.core_wake {
-            if w <= now + 1 {
-                return now + 1;
-            }
-            min = min.min(w);
-        }
-        min
-    }
-
-    /// Address of the oldest backlogged (rejected) submission, if any.
-    /// Only the head is retried each tick, so the head alone decides
-    /// whether a skipped cycle's retry would have succeeded.
-    pub fn backlog_head_addr(&self) -> Option<u64> {
-        self.uncore.backlog.front().map(|r| r.addr)
-    }
-
-    /// Replay `n` skipped cycles' worth of CPU-side accounting: every core
-    /// was quiesced for all of them (guaranteed by the
-    /// [`CmpSystem::next_event`] horizon), so each accrues `n` cycles of
-    /// its frozen stall kind and nothing else.
-    pub fn account_skipped_cycles(&mut self, n: u64) {
-        for (core, stall) in self.cores.iter_mut().zip(&self.core_stall) {
-            match stall {
-                StallKind::RobFull => core.account_rob_full_cycles(n),
-                StallKind::MshrReplay => core.account_mshr_stall_cycles(n),
-            }
         }
     }
 
@@ -857,5 +800,113 @@ mod tests {
         assert!(sharers.count_ones() <= 1, "modified line with {sharers:b}");
         let _ = state;
         assert!(sys.stats().forwards > 0 || sys.stats().upgrades > 0);
+    }
+
+    /// Reads and writes over a pool of lines private to one core, so
+    /// write misses hold MSHR entries no load waits on.
+    struct PoolSource {
+        state: u64,
+        base: u64,
+    }
+
+    impl InstrSource for PoolSource {
+        fn next_instr(&mut self) -> crate::instr::Instr {
+            self.state = self
+                .state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let r = self.state >> 33;
+            if r.is_multiple_of(3) {
+                return crate::instr::Instr::Compute;
+            }
+            crate::instr::Instr::Mem {
+                addr: self.base + ((r % 24) << 16),
+                is_write: r.is_multiple_of(5),
+            }
+        }
+    }
+
+    /// Everything a run leaves in the CMP, rendered for comparison. Cache
+    /// *miss* counters are left out: an unquiesced MSHR-wedged core
+    /// re-probes its L1 and L2 on every replay and counts a miss in each,
+    /// which the quiesced core does not.
+    fn cmp_state(sys: &CmpSystem<PoolSource>, mem: &TestMemory) -> String {
+        let cores: Vec<String> = sys.cores.iter().map(|c| format!("{:?}", c.stats)).collect();
+        let hits: Vec<u64> = sys
+            .uncore
+            .l1
+            .iter()
+            .chain(&sys.uncore.l2)
+            .map(|c| c.hits)
+            .collect();
+        format!(
+            "{cores:?} {:?} {hits:?} accepted={} backlog={}",
+            sys.stats(),
+            mem.accepted,
+            sys.backlog_len()
+        )
+    }
+
+    /// Run eight cores (two clusters) on private line pools, either with
+    /// the per-core quiesce or as the unquiesced reference (every wake
+    /// cleared before each tick, so every core commits and dispatches on
+    /// every cycle). Returns the final state and how many fills re-armed
+    /// an MSHR-wedged core that was not one of the fill's waiters.
+    fn run_pool(quiesce: bool, mshrs: usize, cycles: Cycle) -> (String, u64) {
+        let mut cfg = CmpConfig::small(8);
+        cfg.mshrs_per_core = mshrs;
+        let sources = (0..8)
+            .map(|i| PoolSource {
+                state: i,
+                base: i << 32,
+            })
+            .collect();
+        let mut sys = CmpSystem::new(cfg, sources);
+        let mut mem = TestMemory::new(150);
+        let mut rearms = 0;
+        for now in 0..cycles {
+            for id in mem.due(now) {
+                let waiters: Vec<usize> = sys
+                    .uncore
+                    .inflight
+                    .get(&id)
+                    .map_or(Vec::new(), |p| p.waiters.iter().map(|&(c, _)| c).collect());
+                let wedged: Vec<bool> = (0..8)
+                    .map(|i| sys.core_wake[i] > now && sys.core_stall[i] == StallKind::MshrReplay)
+                    .collect();
+                sys.on_fill(id, now, &mut mem);
+                rearms += (0..8)
+                    .filter(|&i| wedged[i] && sys.core_wake[i] == 0 && !waiters.contains(&i))
+                    .count() as u64;
+            }
+            if !quiesce {
+                sys.core_wake.fill(0);
+            }
+            sys.tick(now, &mut mem);
+        }
+        (cmp_state(&sys, &mem), rearms)
+    }
+
+    #[test]
+    fn quiesce_matches_unquiesced_reference() {
+        for mshrs in [2, 8, 64] {
+            let (quiesced, _) = run_pool(true, mshrs, 30_000);
+            assert_eq!(
+                quiesced,
+                run_pool(false, mshrs, 30_000).0,
+                "mshrs = {mshrs}"
+            );
+        }
+    }
+
+    /// A store miss's fill has no waiters (the store retired at once), yet
+    /// it frees an MSHR entry: `on_fill` must re-arm the core wedged behind
+    /// that entry, or the quiesced core sleeps past the cycle its replay
+    /// would succeed.
+    #[test]
+    fn fill_rearms_mshr_wedged_core_it_does_not_wake() {
+        let (quiesced, rearms) = run_pool(true, 1, 30_000);
+        assert!(rearms > 0, "no fill freed a wedged core's MSHR");
+        assert_eq!(quiesced, run_pool(false, 1, 30_000).0);
     }
 }

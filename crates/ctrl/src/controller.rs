@@ -657,8 +657,8 @@ impl MemoryController {
     /// Drop page-policy state still armed for a μbank the reliability
     /// engine just retired: the pending decision, any predictor
     /// auto-precharge, and the close deadline. Without this, a stale
-    /// deadline promotes the dead μbank back into `pre_due`, where
-    /// `next_event` keeps folding a precharge that can never issue.
+    /// deadline promotes the dead μbank back into `pre_due`, where it
+    /// keeps the controller awake for a precharge that can never issue.
     /// Stale `deadline_heap` entries are dropped lazily by the
     /// `close_deadline` equality check.
     fn clear_retired_policy_state(&mut self, flat: usize) {
@@ -802,208 +802,43 @@ impl MemoryController {
         self.trace_cmd(now, CmdKind::Pre, flat, row);
     }
 
-    /// Earliest future cycle at which a [`MemoryController::tick`] could
-    /// do anything beyond per-tick stats accounting, with the controller's
-    /// state frozen as it stands. `Some(t)` guarantees every tick strictly
-    /// before `t` is a stats-only no-op (replayable in bulk via
-    /// [`MemoryController::account_skipped_ticks`]); `Some(Cycle::MAX)`
-    /// means nothing is pending at all. `None` means the controller might
-    /// act at the very next tick, so callers must fall back to per-cycle
-    /// ticking. An `enqueue` invalidates any previously returned horizon —
-    /// callers must re-tick (the drive loops reset their wake entries on
-    /// every accepted submit).
-    ///
-    /// This generalizes the old all-or-nothing `idle_until`: a *busy*
-    /// controller also sleeps, because every `can_*` predicate in the
-    /// channel is a conjunction of monotone `now >= timer` thresholds
-    /// whose exact first-true cycle the `earliest_*` duals report. The
-    /// fold mirrors `tick`'s phases (DESIGN §5f):
-    ///
-    /// - rank power management has its own per-cycle idle/wake state
-    ///   machine, so it disables skipping outright;
-    /// - a pending PAR-BS batch formation demands a tick: formation
-    ///   snapshots the queue at the forming tick, so its timing is
-    ///   observable ([`Scheduler::would_form_batch`]);
-    /// - a scheduled patrol scrub contributes its next-due cycle (a
-    ///   clean-armed fault engine without a scrubber no longer pins the
-    ///   controller awake — demand retries stay in the queue and are
-    ///   covered by the demand fold);
-    /// - a draining rank contributes its earliest PREA (or demands a tick
-    ///   when already idle, since REF only waits for the drain); an armed
-    ///   refresh schedule contributes its next deadline;
-    /// - each queued request contributes the earliest legal cycle of the
-    ///   action the candidate scan would pick for it (column for an open
-    ///   row match, conflict-precharge when no other request still hits
-    ///   the open row, activate when closed);
-    /// - pending policy precharges contribute their earliest PRE; armed
-    ///   close deadlines contribute `max(deadline, earliest PRE)` —
-    ///   promotion into `pre_due` is pure catch-up at the next executed
-    ///   tick, so deferring it across skipped cycles is invisible.
-    pub fn next_event(&mut self, now: Cycle) -> Option<Cycle> {
-        if self.cfg.powerdown_idle.is_some() {
+    /// Wake cycle of a provably idle controller: `None` unless the queue
+    /// is empty, no policy precharge is due and rank power-down is off.
+    /// Then every `tick` strictly before the returned cycle only does
+    /// stats accounting (replayed in bulk by
+    /// [`MemoryController::account_idle_ticks`]), because the only events
+    /// left are the next refresh deadline, the earliest armed close
+    /// deadline and the patrol scrubber's next due cycle (DESIGN §5f).
+    /// A rank still draining for refresh has its deadline at or before
+    /// now, so it wakes at once; a stale heap top (its deadline cleared
+    /// or re-armed) only wakes the controller early.
+    /// `Cycle::MAX` means nothing is pending; a wake at or before the
+    /// current cycle means "tick the next slot". An `enqueue` ends the
+    /// sleep: callers must tick the controller again after one.
+    pub fn idle_until(&self) -> Option<Cycle> {
+        if !self.queue.is_empty() || self.cfg.powerdown_idle.is_some() || !self.pre_due.is_empty() {
             return None;
         }
-        // PAR-BS batch formation happens at the first tick after the old
-        // batch drains and snapshots the queue at that tick; deferring it
-        // past an arrival would mark a different batch than the per-cycle
-        // reference formed.
-        if self.scheduler.would_form_batch(&self.queue) {
-            return None;
-        }
-        // QoS regulation gating (DESIGN §5g): a window refill is the one
-        // event the demand fold below cannot see. While every queued
-        // request's bucket holds a token, a refill is a pure relaxation
-        // (tokens only appear, and the filter in `service_queue` passes
-        // everything it passes today), so the unfiltered fold stays exact;
-        // the moment any queued request is out of tokens, fall back to
-        // per-cycle ticking until its bucket drains away or refills.
-        if let Some(q) = &self.qos {
-            if q.regulating() {
-                for idx in self.queue.indices() {
-                    let r = self.queue.get(idx);
-                    if !q.has_token(r.tenant, r.flat, now) {
-                        return None;
-                    }
-                }
-            }
-        }
-        let mut next = Cycle::MAX;
-        // Patrol scrub schedule (satellite of the reliability engine).
-        if let Some(eng) = self.faults.as_deref() {
-            if let Some(s) = &eng.scrub {
-                let due = s.next_due();
-                if due <= now {
-                    return None;
-                }
-                next = next.min(due);
-            }
-        }
-        // Refresh: draining ranks race their PREA; armed schedules fire at
-        // their deadline.
-        for rank in 0..self.refresh_draining.len() {
-            if self.refresh_draining[rank] {
-                if self.channel.rank_all_idle(rank) {
-                    return None;
-                }
-                let at = self.channel.earliest_precharge_all(rank);
-                if at <= now {
-                    return None;
-                }
-                next = next.min(at);
-            } else if let Some(at) = self.channel.next_refresh_at(rank) {
-                if at <= now {
-                    return None;
-                }
-                next = next.min(at);
-            }
-        }
-        // Demand queue: earliest legal cycle of each request's candidate
-        // action. Queue content is frozen for the whole skip stretch (an
-        // enqueue resets the caller's wake; removals require ticks), so
-        // the `any_hit_for` routing below cannot change mid-stretch.
-        for idx in self.queue.indices() {
-            let r = self.queue.get(idx);
-            let flat = r.flat as usize;
-            if self.refresh_draining[r.loc.rank as usize] {
-                continue;
-            }
-            let at = match self.channel.open_row_flat(flat) {
-                Some(open) if open == r.loc.row => {
-                    self.channel.earliest_column_flat(flat, r.is_write())
-                }
-                Some(open) => {
-                    if self.queue.any_hit_for(flat, open) {
-                        // The hit holder's own column fold covers this
-                        // μbank's next state change.
-                        continue;
-                    }
-                    self.channel.earliest_precharge_flat(flat)
-                }
-                None => {
-                    if let Some(victim) = self.channel.act_blocker(flat, r.loc.row) {
-                        let open = self
-                            .channel
-                            .open_row_flat(victim)
-                            .expect("act_blocker names an open μbank");
-                        if self.queue.any_hit_for(victim, open) {
-                            // The hit holder's own column fold covers the
-                            // victim's next state change.
-                            continue;
-                        }
-                        // Mirror of the scan's PrechargeVictim arm: the
-                        // victim's precharge is the first event that can
-                        // unblock this request's ACT.
-                        self.channel.earliest_precharge_flat(victim)
-                    } else {
-                        self.channel.earliest_activate_flat(flat)
-                    }
-                }
-            };
-            if at <= now {
-                return None;
-            }
-            next = next.min(at);
-        }
-        // Policy precharges already promoted into the due set.
-        for &flat in &self.pre_due {
-            let at = self.channel.earliest_precharge_flat(flat);
-            if at <= now {
-                return None;
-            }
-            next = next.min(at);
-        }
-        // Armed close deadlines. Drop stale heads eagerly (cheap,
-        // amortized); deeper stale entries are filtered by the
-        // `close_deadline` equality check.
-        while let Some(&Reverse((deadline, flat))) = self.deadline_heap.peek() {
-            if self.close_deadline[flat] != deadline {
-                self.deadline_heap.pop();
-                continue;
-            }
-            break;
-        }
-        for &Reverse((deadline, flat)) in self.deadline_heap.iter() {
-            if self.close_deadline[flat] != deadline {
-                continue;
-            }
-            let at = deadline.max(self.channel.earliest_precharge_flat(flat));
-            if at <= now {
-                return None;
-            }
-            next = next.min(at);
-        }
-        Some(next)
+        let refresh =
+            (0..self.refresh_draining.len()).filter_map(|r| self.channel.next_refresh_at(r));
+        let close = self.deadline_heap.peek().map(|Reverse((at, _))| *at);
+        let scrub = self
+            .faults
+            .as_deref()
+            .and_then(|e| e.scrub.as_ref())
+            .map(|s| s.next_due());
+        refresh.chain(close).chain(scrub).min().or(Some(Cycle::MAX))
     }
 
-    /// Account `n` tick calls skipped under a [`MemoryController::next_event`]
-    /// horizon: identical stat effect to `n` real no-op `tick` calls at the
-    /// controller's *current* queue depth (exact, because the queue cannot
-    /// change during a skip stretch — callers flush pending skips before
-    /// every `tick` and before every `enqueue`).
-    pub fn account_skipped_ticks(&mut self, n: u64) {
-        let qlen = self.queue.len() as u64;
-        self.stats.tick_calls += n;
-        self.stats.occupancy_acc += qlen * n;
-        self.stats.occupancy_hist.record_n(qlen, n);
-    }
-
-    /// Account `n` enqueue attempts that were rejected while the queue
-    /// was provably full across a skip stretch: the event-driven drive
-    /// jumps over cycles whose only CPU-side action is one failed backlog
-    /// retry against this controller (the queue cannot free a slot
-    /// without a tick, and no tick lands inside the jump), and replays
-    /// the per-attempt reject count here in bulk.
-    pub fn account_rejected(&mut self, n: u64) {
-        debug_assert!(self.queue.is_full(), "bulk rejects on a non-full queue");
-        self.stats.rejected += n;
-    }
-
-    /// Account `n` tick calls that were skipped as provably idle (queue
-    /// empty, nothing issued): identical stat effect to `n` real `tick`
-    /// calls on an idle controller.
+    /// Account `n` tick calls a sleeping controller skipped: the same
+    /// stats effect as `n` real `tick` calls on its empty queue.
     pub fn account_idle_ticks(&mut self, n: u64) {
-        debug_assert!(self.queue.is_empty(), "idle accounting on a busy queue");
-        self.account_skipped_ticks(n);
+        debug_assert!(
+            n == 0 || self.queue.is_empty(),
+            "idle accounting on a busy queue"
+        );
+        self.stats.tick_calls += n;
+        self.stats.occupancy_hist.record_n(0, n);
     }
 
     /// The policy's speculative-decision hit rate (Fig. 13 right axis).
@@ -1656,27 +1491,25 @@ mod tests {
     }
 
     #[test]
-    fn next_event_falls_back_to_ticking_when_a_bucket_is_empty() {
+    fn idle_until_declines_while_a_throttled_request_waits() {
         let cf = cfg(1, 1);
-        let mk = |qc: &QosConfig| {
-            // FrFcfs: PAR-BS batch formation would force `None` on its own.
-            let mut c = MemoryController::new(&cf, SchedulerKind::FrFcfs, PolicyKind::Open, 4);
-            c.enable_qos(qc);
-            assert!(c.enqueue(mkreq_t(&c, 1, 0x40, ReqKind::Read, TenantId(0)), 0));
-            c.tick(0); // ACT issues; the RD becomes a strictly future event
-            c
-        };
-        let mut tracking = mk(&QosConfig::tracking());
-        assert!(
-            tracking.next_event(1).is_some(),
-            "unregulated queue exposes the future RD as a skip target"
+        let mut c = MemoryController::new(&cf, SchedulerKind::FrFcfs, PolicyKind::Open, 4);
+        c.enable_qos(
+            &QosConfig::tracking()
+                .with_work_conserving(false)
+                .with_tenant(Some(0), 0),
         );
-        let mut starved = mk(&QosConfig::tracking().with_tenant(Some(0), 0));
-        assert_eq!(
-            starved.next_event(1),
-            None,
-            "an empty bucket demands per-cycle ticking (refills are invisible \
-             to the demand fold)"
-        );
+        assert_eq!(c.idle_until(), Some(Cycle::MAX), "empty queue, refresh off");
+        assert!(c.enqueue(mkreq_t(&c, 1, 0x40, ReqKind::Read, TenantId(0)), 0));
+        for now in 0..1_000 {
+            c.tick(now);
+            assert_eq!(
+                c.idle_until(),
+                None,
+                "a queued request keeps the controller awake, even one its \
+                 empty bucket withholds"
+            );
+        }
+        assert_eq!(c.stats.served_reads, 0, "zero budget never serves");
     }
 }

@@ -19,13 +19,9 @@
 //! column burst (RD or WR, 64 B). Buckets are *lazy*: instead of a
 //! scheduled refill event, the window index `now / replenish_period` is
 //! compared on every access and the spent counter resets when it moves.
-//! Replenishment therefore never wakes an idle controller, which is what
-//! lets regulation coexist with the event-driven time-skip core (DESIGN
-//! §5f/§5g): a refill is a monotone *relaxation* (tokens only appear), so
-//! skipping across a window boundary can never suppress an action — and
-//! the controller's `next_event` falls back to per-cycle ticking whenever
-//! any queued request's bucket is empty, the only state in which a refill
-//! could *enable* one.
+//! Replenishment therefore never wakes an idle controller: a controller
+//! sleeps only on an empty queue (DESIGN §5f), where no bucket is
+//! consulted.
 //!
 //! ## Throttle and reclaim
 //!
@@ -263,8 +259,7 @@ impl QosRegulator {
 
     /// Non-mutating token peek: true unless the tenant is regulated and
     /// its bucket for `flat` is exhausted in the window containing `now`.
-    /// Pure in `(state, now)`, so the controller's `next_event` may call
-    /// it without perturbing replayability.
+    /// Pure in `(state, now)`.
     #[inline]
     pub fn has_token(&self, tenant: TenantId, flat: u32, now: Cycle) -> bool {
         let t = tenant.index();

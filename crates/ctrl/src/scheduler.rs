@@ -74,7 +74,10 @@ pub struct Candidate {
 pub struct Scheduler {
     kind: SchedulerKind,
     marked: HashSet<u64, FxBuild>,
-    thread_rank: HashMap<u16, u32, FxBuild>,
+    /// Shortest-job-first rank per thread in the current batch, indexed by
+    /// thread (`u32::MAX` = unmarked). A `Vec`, not a map: `select` looks
+    /// every candidate up on every controller tick.
+    thread_rank: Vec<u32>,
     pub batches_formed: u64,
     // Reusable batch-formation scratch (cleared each use; the maps are
     // never iterated, and `threads` is fully sorted by a total key, so the
@@ -95,7 +98,7 @@ impl Scheduler {
         Scheduler {
             kind,
             marked: HashSet::default(),
-            thread_rank: HashMap::default(),
+            thread_rank: Vec::new(),
             batches_formed: 0,
             order: Vec::new(),
             per_pair: HashMap::default(),
@@ -123,24 +126,15 @@ impl Scheduler {
     /// Shortest-job-first rank of `thread` in the current batch (lower is
     /// higher priority); unmarked threads rank last.
     pub fn rank_of(&self, thread: u16) -> u32 {
-        self.thread_rank.get(&thread).copied().unwrap_or(u32::MAX)
+        self.thread_rank
+            .get(thread as usize)
+            .copied()
+            .unwrap_or(u32::MAX)
     }
 
     /// Drop a serviced request from the batch.
     pub fn note_serviced(&mut self, id: u64) {
         self.marked.remove(&id);
-    }
-
-    /// Would the next [`Scheduler::maybe_form_batch`] call actually form
-    /// a batch? Formation snapshots the queue *at the forming tick*, so
-    /// its timing is observable: the controller's event horizon must
-    /// demand a real tick whenever a formation is pending, or a request
-    /// arriving before the deferred tick would be marked into a batch
-    /// that the per-cycle reference formed without it (DESIGN §5f).
-    pub fn would_form_batch(&self, queue: &RequestQueue) -> bool {
-        matches!(self.kind, SchedulerKind::ParBs { .. })
-            && self.marked.is_empty()
-            && !queue.is_empty()
     }
 
     /// Form a new batch if the current one is exhausted (PAR-BS only).
@@ -155,7 +149,7 @@ impl Scheduler {
         if !self.marked.is_empty() {
             return; // batch still in flight (marked ⊆ queued, see invariant)
         }
-        self.thread_rank.clear();
+        self.thread_rank.fill(u32::MAX);
         if queue.is_empty() {
             return;
         }
@@ -183,7 +177,11 @@ impl Scheduler {
             .extend(self.per_thread.iter().map(|(&t, &n)| (t, n)));
         self.threads.sort_unstable_by_key(|&(t, n)| (n, t));
         for (rank, &(t, _)) in self.threads.iter().enumerate() {
-            self.thread_rank.insert(t, rank as u32);
+            let t = t as usize;
+            if t >= self.thread_rank.len() {
+                self.thread_rank.resize(t + 1, u32::MAX);
+            }
+            self.thread_rank[t] = rank as u32;
         }
         self.batches_formed += 1;
     }

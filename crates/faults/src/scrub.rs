@@ -36,9 +36,8 @@ impl Scrubber {
         now >= self.next_due
     }
 
-    /// Cycle at which the next scrub becomes due. Lets the controller's
-    /// `next_event` fold the patrol schedule into its sleep horizon
-    /// instead of refusing to skip whenever a fault engine is armed.
+    /// Cycle at which the next scrub becomes due: an idle controller
+    /// sleeps until then at the latest.
     pub fn next_due(&self) -> Cycle {
         self.next_due
     }

@@ -30,8 +30,7 @@ pub enum SimError {
     /// wall-clock deadline, or a service shutting down. The partially
     /// driven simulation state is discarded whole: cancellation can only
     /// ever shorten a run whose results are then thrown away, never
-    /// change a result that is reported, so it is sound under the
-    /// event-driven time-skip core (DESIGN.md §5i).
+    /// change a result that is reported (DESIGN.md §5i).
     Cancelled { kind: CancelKind, at_cycle: u64 },
 }
 

@@ -19,8 +19,8 @@
 //!   monitor thread trips it as `Deadline` past the job's wall-clock
 //!   budget, and the drive loop polls it every
 //!   [`crate::simulator::CANCEL_CHECK_CYCLES`] simulated cycles.
-//!   Cancellation is sound under time-skip: it only shortens runs whose
-//!   state is discarded whole.
+//!   Cancellation is sound: it only shortens runs whose state is
+//!   discarded whole.
 //! * **Error-class-aware retry**: deterministic `InvalidConfig` is
 //!   never retried (it is rejected at admission anyway), `Cancelled` is
 //!   never retried, and `Panic`/`Artifact` retry with exponential

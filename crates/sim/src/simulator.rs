@@ -71,23 +71,21 @@ pub struct SimConfig {
     /// simulated machine, so results are bit-identical with tracing on or
     /// off.
     pub spans: bool,
-    /// Event-driven time skipping: when on (the default), the
-    /// drive advances `now` in jumps to the earliest component wake time
-    /// (controller `next_event` horizons, CPU/NoC horizon, pending fill
-    /// deliveries) instead of ticking through provably-quiet cycles, and
-    /// controllers sleep on their busy-horizon instead of only when fully
-    /// idle. `None` defers to the `MICROBANK_NO_SKIP` environment variable
-    /// (set non-`0` to force the per-cycle reference path). Results are bit-identical either way — skipping only changes
-    /// wall-clock time (DESIGN §5f).
+    /// Idle-controller wake: when on (`None` or `Some(true)`, the
+    /// default), a controller with an empty queue sleeps until its next
+    /// refresh, close-deadline or scrub event
+    /// ([`MemoryController::idle_until`]) or until a request arrives,
+    /// and the drive replays its slept slots as idle ticks. `Some(false)`
+    /// ticks every controller on every slot. Results are bit-identical
+    /// either way; only wall-clock time changes (DESIGN §5f).
     pub time_skip: Option<bool>,
     /// Cooperative cancellation: when set, the drive loop polls the
     /// token every [`CANCEL_CHECK_CYCLES`] simulated cycles and abandons
-    /// the run with [`SimError::Cancelled`] once it trips. Sound under
-    /// the event-driven time-skip core: cancellation only ever shortens a
-    /// run whose state is then discarded whole — it can never alter a
-    /// result that is reported (DESIGN.md §5i). `None` (the default)
-    /// keeps the hot path to a single branch, and the field is masked
-    /// out of sweep/service fingerprints like `threads`.
+    /// the run with [`SimError::Cancelled`] once it trips. Cancellation
+    /// only ever shortens a run whose state is then discarded whole — it
+    /// can never alter a result that is reported (DESIGN.md §5i). `None`
+    /// (the default) keeps the hot path to a single branch, and the field
+    /// is masked out of sweep/service fingerprints like `threads`.
     pub cancel: Option<CancelToken>,
 }
 
@@ -234,8 +232,8 @@ impl SimConfig {
         self
     }
 
-    /// Pin event-driven time skipping on or off for this run (overrides
-    /// the `MICROBANK_NO_SKIP` environment variable).
+    /// Switch the idle-controller wake on or off for this run (see
+    /// [`SimConfig::time_skip`]).
     pub fn with_time_skip(mut self, on: bool) -> Self {
         self.time_skip = Some(on);
         self
@@ -246,18 +244,6 @@ impl SimConfig {
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
-    }
-
-    /// Resolved time-skip setting: the explicit `time_skip` field, else
-    /// off when the `MICROBANK_NO_SKIP` environment variable is set
-    /// non-empty and non-`0`, else on.
-    pub fn effective_time_skip(&self) -> bool {
-        self.time_skip.unwrap_or_else(|| {
-            !std::env::var("MICROBANK_NO_SKIP").is_ok_and(|v| {
-                let v = v.trim();
-                !v.is_empty() && v != "0"
-            })
-        })
     }
 
     /// Top of the validation ladder: check this run end to end —
@@ -1155,14 +1141,13 @@ fn drive<S: microbank_cpu::instr::InstrSource>(
     let mut enqueue_time = EnqueueSlab::new();
     let mut read_lat_samples: u64 = 0;
 
-    // Event-skip state: `ctrl_wake[i]` is the first cycle at which
-    // controller `i`'s tick could do anything beyond stats accounting
-    // (its `next_event` horizon; an accepted enqueue resets it to the
-    // arrival cycle). Skipped stride slots accumulate in `ctrl_skipped`
-    // and are flushed — at the then-current queue depth — before every
-    // tick, before every enqueue, and at loop end, which makes the bulk
-    // accounting bit-identical to per-cycle ticking (DESIGN §5f).
-    let skip = cfg.effective_time_skip();
+    // Idle wake: `ctrl_wake[i]` is the first cycle at which controller
+    // `i`'s tick could do anything beyond stats accounting (its
+    // `idle_until` wake while its queue is empty, else the next cycle; an
+    // accepted enqueue resets it to the arrival cycle). Slept slots
+    // accumulate in `ctrl_skipped` and are replayed as idle ticks before
+    // the next tick, before the next enqueue, and at loop end (DESIGN §5f).
+    let skip = cfg.time_skip.unwrap_or(true);
     let mut ctrl_wake: Vec<Cycle> = vec![0; ctrls.len()];
     let mut ctrl_skipped: Vec<u64> = vec![0; ctrls.len()];
 
@@ -1174,8 +1159,7 @@ fn drive<S: microbank_cpu::instr::InstrSource>(
     let mut cancel_check_at: Cycle = 0;
 
     tracer.enter("warmup");
-    let mut now: Cycle = 0;
-    while now < total {
+    for now in 0..total {
         if let Some(token) = cancel {
             if now >= cancel_check_at {
                 if let Some(kind) = token.tripped() {
@@ -1214,9 +1198,9 @@ fn drive<S: microbank_cpu::instr::InstrSource>(
             dram_at_warmup = d;
             tenant_cols_at_warmup = merged_tenant_cols(&ctrls);
         }
-        // Controllers issue commands on their slot cadence. A controller
-        // that proved itself idle sleeps until its wake cycle (or until an
-        // enqueue resets it — see `TrackingRouter::submit`).
+        // Controllers issue commands on their slot cadence. An idle
+        // controller sleeps until its wake cycle (or until an enqueue
+        // resets it — see `TrackingRouter::submit`).
         if now.is_multiple_of(cfg.ctrl_stride) {
             let t0 = fine.then(std::time::Instant::now);
             for (i, c) in ctrls.iter_mut().enumerate() {
@@ -1224,17 +1208,13 @@ fn drive<S: microbank_cpu::instr::InstrSource>(
                     ctrl_skipped[i] += 1;
                     continue;
                 }
-                let pending = std::mem::take(&mut ctrl_skipped[i]);
-                if pending > 0 {
-                    c.account_skipped_ticks(pending);
-                }
+                c.account_idle_ticks(std::mem::take(&mut ctrl_skipped[i]));
                 c.tick(now);
                 c.take_completions(&mut completions);
-                // `None` ("might act next tick") maps to `now + 1`, a real
-                // wake cycle — never a sentinel a legitimate wake value
-                // could alias.
+                // `None` (not idle) maps to `now + 1`, a real wake cycle —
+                // never a sentinel a legitimate wake value could alias.
                 ctrl_wake[i] = if skip {
-                    c.next_event(now).unwrap_or(now + 1)
+                    c.idle_until().unwrap_or(now + 1)
                 } else {
                     now + 1
                 };
@@ -1336,71 +1316,6 @@ fn drive<S: microbank_cpu::instr::InstrSource>(
                 .expect("epoch implies timeline")
                 .push(now + 1, row);
         }
-
-        // Event-driven time skip: jump `now` to the earliest cycle any
-        // component can act. Every cycle strictly inside the jump is
-        // provably quiet — the CPU horizon covers all cores and the
-        // backlog, the delivery heap's top bounds fill arrivals, and each
-        // skipped controller slot lands strictly before its owner's wake —
-        // so replaying them is pure bulk stats accounting.
-        let next = now + 1;
-        now = if !skip || next >= total {
-            next
-        } else {
-            let mut h = cmp.core_horizon(now);
-            // A non-empty submit backlog does not pin the clock: only the
-            // head is retried each cycle, and against a *full* queue every
-            // retry inside the jump provably fails (freeing a slot takes a
-            // tick, and the wake fold below lands the jump no later than
-            // that controller's next executed slot). Replay the failed
-            // attempts in bulk; a head facing a non-full queue succeeds on
-            // the very next cycle, so no jump.
-            let mut backlog_ch = usize::MAX;
-            if h > next {
-                if let Some(addr) = cmp.backlog_head_addr() {
-                    let ch = ctrls[0].map().decode(addr).channel as usize;
-                    if ctrls[ch].free_slots() == 0 {
-                        backlog_ch = ch;
-                    } else {
-                        h = next;
-                    }
-                }
-            }
-            if h > next {
-                if let Some(d) = deliveries.peek() {
-                    h = h.min(d.at.max(next));
-                }
-                for &w in &ctrl_wake {
-                    let slot = w
-                        .max(next)
-                        .checked_next_multiple_of(cfg.ctrl_stride)
-                        .unwrap_or(Cycle::MAX);
-                    h = h.min(slot);
-                }
-                if now < cfg.warmup_cycles {
-                    h = h.min(cfg.warmup_cycles);
-                }
-                if epoch_cycles > 0 {
-                    // Smallest c ≥ next whose epoch closes at c (the body
-                    // runs the close when `(now + 1) % epoch == 0`).
-                    h = h.min((next + 1).div_ceil(epoch_cycles) * epoch_cycles - 1);
-                }
-                h = h.min(total);
-            }
-            if h > next {
-                cmp.account_skipped_cycles(h - next);
-                if backlog_ch != usize::MAX {
-                    ctrls[backlog_ch].account_rejected(h - next);
-                }
-                let slots = (h - 1) / cfg.ctrl_stride - (next - 1) / cfg.ctrl_stride;
-                if slots > 0 {
-                    for s in &mut ctrl_skipped {
-                        *s += slots;
-                    }
-                }
-            }
-            h.max(next)
-        };
     }
     tracer.exit(); // measure
 
@@ -1412,11 +1327,9 @@ fn drive<S: microbank_cpu::instr::InstrSource>(
         tracer.add_ns("cpu-and-noc", drive_ns.saturating_sub(ctrl_ns), 1);
     }
 
-    // Fold any remaining skipped slots back into controller stats so
-    // occupancy accounting is identical to per-cycle ticking (the queue
-    // cannot have changed since the last flush point).
+    // Replay the slots controllers slept through at the end of the run.
     for (c, &n) in ctrls.iter_mut().zip(&ctrl_skipped) {
-        c.account_skipped_ticks(n);
+        c.account_idle_ticks(n);
     }
 
     Ok(DriveOutput {
@@ -1465,7 +1378,7 @@ pub fn golden_fingerprint(r: &SimResult) -> [u64; 13] {
 }
 
 /// Router that also records enqueue times for read-latency accounting and
-/// wakes event-skipped controllers on arrival.
+/// wakes sleeping controllers on arrival.
 struct TrackingRouter<'a> {
     ctrls: &'a mut [MemoryController],
     enqueue_time: &'a mut EnqueueSlab,
@@ -1478,13 +1391,9 @@ impl MemPort for TrackingRouter<'_> {
         let loc = self.ctrls[0].map().decode(req.addr);
         let ch = loc.channel as usize;
         let ctrl = &mut self.ctrls[ch];
-        // Flush skipped-slot accounting at the pre-enqueue queue depth:
-        // every slot skipped so far saw the queue as it stands right now,
-        // and the enqueue below is about to change it.
-        let pending = std::mem::take(&mut self.ctrl_skipped[ch]);
-        if pending > 0 {
-            ctrl.account_skipped_ticks(pending);
-        }
+        // Replay the slots slept so far on the still-empty queue before
+        // the enqueue below fills it.
+        ctrl.account_idle_ticks(std::mem::take(&mut self.ctrl_skipped[ch]));
         let kind = if req.is_write {
             ReqKind::Write
         } else {
@@ -1498,8 +1407,8 @@ impl MemPort for TrackingRouter<'_> {
             // Writes are tracked too (and consumed at completion) so the
             // slab's base is never pinned by an id that will never arrive.
             self.enqueue_time.insert(req.id, now);
-            // The arrival invalidates any previously proven horizon; the
-            // wake value is the arrival cycle itself, never a sentinel.
+            // The arrival ends the sleep; the wake value is the arrival
+            // cycle itself, never a sentinel.
             self.ctrl_wake[ch] = now;
         }
         ok

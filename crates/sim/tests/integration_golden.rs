@@ -394,13 +394,11 @@ fn clean_fault_engine_reproduces_golden_fingerprint() {
     }
 }
 
-/// The event-driven time-skip core (DESIGN §5f) defaults on, so the
-/// fingerprint table above is continuously validated against the skipping
-/// path. This test pins the other side: disabling skipping via the config
-/// knob reproduces the same committed fingerprints with pure per-cycle
-/// ticking, so the two drive modes can never drift apart silently. (The
-/// CI job that reruns this suite under `MICROBANK_NO_SKIP=1` covers the
-/// environment override.)
+/// The idle-controller wake (DESIGN §5f) defaults on, so the fingerprint
+/// table above is continuously validated against the sleeping path. This
+/// test pins the other side: switching the wake off ticks every
+/// controller on every slot and reproduces the same committed
+/// fingerprints, so the two modes can never drift apart silently.
 #[test]
 fn per_cycle_reference_reproduces_golden_fingerprints() {
     for &(part, sched, policy) in &[
@@ -422,7 +420,7 @@ fn per_cycle_reference_reproduces_golden_fingerprints() {
     }
 }
 
-/// Event-driven time skipping (DESIGN §5f) and span tracing change wall
+/// The idle-controller wake (DESIGN §5f) and span tracing change wall
 /// time only: on a multi-channel instrumented run, the per-cycle untraced
 /// reference is reproduced bit for bit — every result field, the epoch
 /// time-series, the per-μbank heat maps, and the command trace — across
@@ -471,12 +469,12 @@ fn time_skip_and_span_tracing_are_behavior_neutral() {
     );
 }
 
-/// The skip axis composes with the reliability engine. A clean-*armed*
-/// engine (ECC on, no scrubber) no longer pins the controller to
-/// per-cycle ticking; a stress configuration (defects, flips, scrubber
-/// armed) on all 16 channels runs largely per-cycle — the scrub schedule
-/// and demand retries pin the horizon. Either way the skipping run must
-/// reproduce the per-cycle reference, reliability counters included.
+/// The idle wake composes with the reliability engine. A clean-*armed*
+/// engine (ECC on, no scrubber) lets an idle controller sleep to its next
+/// refresh; under a stress configuration (defects, flips, scrubber armed)
+/// on all 16 channels the scrub schedule bounds every sleep. Either way
+/// the sleeping run must reproduce per-slot ticking, reliability counters
+/// included.
 #[test]
 fn armed_fault_engine_is_skip_neutral() {
     let mut cases: Vec<(String, SimConfig)> = [("8x8", "parbs", "pred"), ("1x1", "frfcfs", "open")]

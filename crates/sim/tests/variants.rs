@@ -9,9 +9,8 @@
 //! committed golden table, with time-skip on and off.
 //!
 //! SALP and Sectored have no legacy reference, so their pinned property is
-//! internal consistency: the event-driven time-skip drive must reproduce
-//! the per-cycle reference exactly (the `earliest_*`/`act_blocker` duals
-//! are the proof obligations).
+//! internal consistency: the idle-controller wake must reproduce per-slot
+//! ticking exactly.
 
 use microbank_core::variant::{DeviceVariant, SalpMode};
 use microbank_ctrl::policy::PolicyKind;
