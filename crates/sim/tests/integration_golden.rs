@@ -2,14 +2,17 @@
 //! simulator (incremental queue indexes, pending-precharge sets, idle-tick
 //! skipping, the enqueue slab, blocked-core skipping) are required to be
 //! *behavior-preserving*. Each {scheduler} × {page policy} × {μbank
-//! partition} configuration below must reproduce its committed fingerprint
-//! exactly — every element is a function of simulated behavior only, never
-//! wall clock.
+//! partition} configuration below, every remaining page policy (minimalist
+//! open, the global/tournament predictors, the perfect oracle) and every
+//! structural device variant (SALP-1/SALP-2/MASA, Sectored) must reproduce
+//! its committed fingerprint exactly — every element is a function of
+//! simulated behavior only, never wall clock.
 //!
 //! If a PR deliberately changes simulated behavior, regenerate the table
 //! with the `golden_dump` binary (`cargo run --release -p microbank-bench
 //! --bin golden_dump`) and scrutinize the diff in review.
 
+use microbank_core::variant::{DeviceVariant, SalpMode};
 use microbank_ctrl::policy::PolicyKind;
 use microbank_ctrl::predictor::PredictorKind;
 use microbank_ctrl::scheduler::SchedulerKind;
@@ -260,16 +263,292 @@ const GOLDEN: &[(&str, &str, &str, [u64; 13])] = &[
             7364169726719467890,
         ],
     ),
+    (
+        "1x1",
+        "parbs",
+        "minopen200",
+        [
+            7984,
+            2138,
+            0,
+            2146,
+            2139,
+            2,
+            0,
+            1590,
+            548,
+            17104,
+            2138,
+            1013486,
+            3867259449868745299,
+        ],
+    ),
+    (
+        "1x1",
+        "parbs",
+        "global",
+        [
+            7970,
+            2144,
+            0,
+            2152,
+            2148,
+            2,
+            1,
+            1487,
+            656,
+            17152,
+            2144,
+            1014092,
+            15042081785263987921,
+        ],
+    ),
+    (
+        "1x1",
+        "parbs",
+        "tournament",
+        [
+            7972,
+            2137,
+            0,
+            2145,
+            2138,
+            2,
+            0,
+            1523,
+            614,
+            17096,
+            2137,
+            1012252,
+            5296887314084034763,
+        ],
+    ),
+    (
+        "1x1",
+        "parbs",
+        "perfect",
+        [
+            7969,
+            2137,
+            0,
+            2145,
+            2139,
+            2,
+            0,
+            1560,
+            577,
+            17096,
+            2137,
+            1012454,
+            12658934284336530906,
+        ],
+    ),
+    (
+        "8x8",
+        "parbs",
+        "minopen200",
+        [
+            15177,
+            3551,
+            0,
+            3664,
+            3609,
+            2,
+            0,
+            351,
+            3200,
+            28408,
+            3551,
+            1068224,
+            14940451591944711862,
+        ],
+    ),
+    (
+        "8x8",
+        "parbs",
+        "global",
+        [
+            15235,
+            3550,
+            0,
+            3688,
+            3656,
+            2,
+            0,
+            247,
+            3303,
+            28400,
+            3550,
+            1068560,
+            85439036463650342,
+        ],
+    ),
+    (
+        "8x8",
+        "parbs",
+        "tournament",
+        [
+            15235,
+            3550,
+            0,
+            3678,
+            3646,
+            2,
+            0,
+            240,
+            3310,
+            28400,
+            3550,
+            1068560,
+            85439036463650342,
+        ],
+    ),
+    (
+        "8x8",
+        "parbs",
+        "perfect",
+        [
+            15177,
+            3551,
+            0,
+            4089,
+            3642,
+            2,
+            2,
+            234,
+            3315,
+            28408,
+            3551,
+            1068224,
+            14940451591944711862,
+        ],
+    ),
+    (
+        "salp1-8",
+        "frfcfs",
+        "open",
+        [
+            10645,
+            2715,
+            0,
+            2727,
+            2719,
+            2,
+            0,
+            350,
+            2365,
+            21720,
+            2715,
+            1034340,
+            2670016195988870208,
+        ],
+    ),
+    (
+        "salp2-8",
+        "frfcfs",
+        "open",
+        [
+            14419,
+            3410,
+            0,
+            3430,
+            3416,
+            2,
+            0,
+            803,
+            2607,
+            27280,
+            3410,
+            1063688,
+            2840054810285671346,
+        ],
+    ),
+    (
+        "masa-8",
+        "frfcfs",
+        "open",
+        [
+            15263,
+            3552,
+            0,
+            3655,
+            3594,
+            2,
+            2,
+            3287,
+            263,
+            28416,
+            3552,
+            1069608,
+            9965425269675247694,
+        ],
+    ),
+    (
+        "sectored-8of16",
+        "frfcfs",
+        "open",
+        [
+            10520,
+            2696,
+            0,
+            2704,
+            2696,
+            2,
+            0,
+            1265,
+            1431,
+            21568,
+            2696,
+            1036138,
+            8634425051103159147,
+        ],
+    ),
+    (
+        "sectored-2of16",
+        "frfcfs",
+        "open",
+        [
+            11282,
+            2846,
+            0,
+            2856,
+            2848,
+            2,
+            0,
+            346,
+            2500,
+            22768,
+            2846,
+            1044536,
+            7476573545529959201,
+        ],
+    ),
 ];
 
 fn config_for(part: &str, sched: &str, policy: &str) -> SimConfig {
-    let (nw, nb) = match part {
-        "1x1" => (1, 1),
-        "8x8" => (8, 8),
-        other => panic!("unknown partition {other}"),
-    };
     let mut cfg = SimConfig::spec_single_channel(Workload::Spec("429.mcf")).quick();
-    cfg.mem = cfg.mem.with_ubanks(nw, nb);
+    cfg.mem = match part {
+        "1x1" => cfg.mem.with_ubanks(1, 1),
+        "8x8" => cfg.mem.with_ubanks(8, 8),
+        variant => {
+            let salp = |mode| DeviceVariant::Salp { subarrays: 8, mode };
+            let sectored = |sectors_per_act| DeviceVariant::Sectored {
+                sectors: 16,
+                sectors_per_act,
+            };
+            let v = [
+                salp(SalpMode::Salp1),
+                salp(SalpMode::Salp2),
+                salp(SalpMode::Masa),
+                sectored(8),
+                sectored(2),
+            ]
+            .into_iter()
+            .find(|v| v.label() == variant)
+            .unwrap_or_else(|| panic!("unknown partition {variant}"));
+            cfg.mem.with_variant(v)
+        }
+    };
     cfg.warmup_cycles = 10_000;
     cfg.measure_cycles = 30_000;
     cfg.scheduler = match sched {
@@ -281,6 +560,10 @@ fn config_for(part: &str, sched: &str, policy: &str) -> SimConfig {
         "open" => PolicyKind::Open,
         "close" => PolicyKind::Close,
         "pred" => PolicyKind::Predictive(PredictorKind::Local),
+        "minopen200" => PolicyKind::MinimalistOpen { window_cycles: 200 },
+        "global" => PolicyKind::Predictive(PredictorKind::Global),
+        "tournament" => PolicyKind::Predictive(PredictorKind::Tournament),
+        "perfect" => PolicyKind::Predictive(PredictorKind::Perfect),
         other => panic!("unknown policy {other}"),
     };
     cfg
