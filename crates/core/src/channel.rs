@@ -7,7 +7,6 @@
 //! per command slot) and data bus (one 64 B burst at a time), exactly the
 //! sharing the paper describes for conventional multi-bank devices (§II).
 
-use crate::address::Location;
 use crate::bank::MicrobankState;
 use crate::config::MemConfig;
 use crate::stats::DramStats;
@@ -179,7 +178,7 @@ impl Channel {
     }
 
     /// Borrow a μbank's state by its flat index (see
-    /// [`Location::ubank_flat`]).
+    /// [`crate::address::Location::ubank_flat`]).
     pub fn ubank(&self, flat: usize) -> &MicrobankState {
         &self.banks[flat]
     }
@@ -450,10 +449,10 @@ impl Channel {
 
     /// Oracle precharge for the *perfect* page-management predictor
     /// (Fig. 13 "P"): retroactively treat the bank as if a PRE had been
-    /// issued at the earliest legal time after its last access. Succeeds
-    /// (returns `true`) only when that hypothetical PRE would already have
-    /// completed by `now`; the PRE is still counted (its energy was spent).
-    pub fn oracle_precharge_flat(&mut self, flat: usize, now: Cycle) -> bool {
+    /// issued at the earliest legal time after its last access. Applies
+    /// only when that hypothetical PRE would already have completed by
+    /// `now`; the PRE is still counted (its energy was spent).
+    pub fn oracle_precharge_flat(&mut self, flat: usize, now: Cycle) {
         let t_rp = self.t.t_rp;
         let b = &mut self.banks[flat];
         if b.open_row.is_some() {
@@ -463,10 +462,8 @@ impl Channel {
                 b.next_act = ready;
                 b.next_col = Cycle::MAX;
                 self.stats.precharges += 1;
-                return true;
             }
         }
-        false
     }
 
     /// Can a precharge-all (PREA) issue to `rank` at `now`? Legal once the
@@ -517,15 +514,6 @@ impl Channel {
         self.banks[lo..lo + self.ubanks_per_rank]
             .iter()
             .all(|b| b.is_idle())
-    }
-
-    /// Banks of `rank` that still hold an open row (must be precharged
-    /// before refresh); returns flat indices.
-    pub fn rank_open_banks(&self, rank: usize) -> Vec<usize> {
-        let lo = rank * self.ubanks_per_rank;
-        (lo..lo + self.ubanks_per_rank)
-            .filter(|&f| !self.banks[f].is_idle())
-            .collect()
     }
 
     /// Flat indices of every μbank (all ranks) currently holding an open
@@ -602,68 +590,16 @@ impl Channel {
         self.ranks.len()
     }
 
-    // ---- Location-based convenience wrappers (compute the flat index). ----
-
-    /// Flat index of a location's μbank, given the owning config.
-    pub fn flat(&self, cfg: &MemConfig, loc: &Location) -> usize {
-        loc.ubank_flat(cfg)
-    }
-
-    /// Open row of the μbank addressed by `loc` (by flat index).
+    /// Open row of μbank `flat`, if any.
     pub fn open_row_flat(&self, flat: usize) -> Option<u32> {
         self.banks[flat].open_row
-    }
-}
-
-// Location-based API used by doctests/examples; forwards to the flat API.
-// These require the caller's `MemConfig` to map the location, so they are
-// implemented as a small extension trait-free impl block taking `&MemConfig`
-// implicitly via dimensions stored at construction time.
-impl Channel {
-    /// True if an ACT for `loc` may issue now. `loc.ubank_flat` uses the
-    /// same dimension math as the channel, so the index is consistent for
-    /// the config the channel was built from.
-    pub fn can_activate(&self, loc: &Location, now: Cycle) -> bool {
-        self.can_activate_flat(self.flat_from_loc(loc), now)
-    }
-
-    pub fn activate(&mut self, loc: &Location, now: Cycle) {
-        self.activate_flat(self.flat_from_loc(loc), loc.row, now)
-    }
-
-    pub fn can_column(&self, loc: &Location, is_write: bool, now: Cycle) -> bool {
-        self.can_column_flat(self.flat_from_loc(loc), loc.row, is_write, now)
-    }
-
-    pub fn read(&mut self, loc: &Location, now: Cycle) -> Cycle {
-        self.read_flat(self.flat_from_loc(loc), now)
-    }
-
-    pub fn write(&mut self, loc: &Location, now: Cycle) -> Cycle {
-        self.write_flat(self.flat_from_loc(loc), now)
-    }
-
-    pub fn can_precharge(&self, loc: &Location, now: Cycle) -> bool {
-        self.can_precharge_flat(self.flat_from_loc(loc), now)
-    }
-
-    pub fn precharge(&mut self, loc: &Location, now: Cycle) {
-        self.precharge_flat(self.flat_from_loc(loc), now)
-    }
-
-    /// Recompute a flat μbank index from the channel's own stored
-    /// dimensions, matching [`Location::ubank_flat`] for the config the
-    /// channel was built from.
-    fn flat_from_loc(&self, loc: &Location) -> usize {
-        let per_bank = self.ubanks_per_rank / self.banks_per_rank;
-        let within = loc.b as usize * self.n_w + loc.w as usize;
-        (loc.rank as usize * self.banks_per_rank + loc.bank as usize) * per_bank + within
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::address::Location;
     use crate::config::MemConfig;
 
     fn setup(nw: usize, nb: usize) -> (MemConfig, Channel) {

@@ -16,18 +16,25 @@
 //! * [`timing`] — nanosecond timing parameters (paper Table I) and their
 //!   CPU-cycle derivations for the three processor–memory interfaces.
 //! * [`geometry`] — mats, subarrays, banks and the μbank partitioning math.
+//! * [`organization`] — the literature's bank organizations (SALP,
+//!   Half-DRAM) expressed as μbank geometries (paper §VII).
 //! * [`config`] — whole-memory-system configuration presets.
+//! * [`validate`] — the configuration validation ladder.
 //! * [`address`] — physical-address ↔ device-coordinate mapping with the
-//!   configurable interleaving base bit `iB` (paper Fig. 11).
-//! * [`command`] — DRAM command vocabulary and targets.
+//!   configurable interleaving base bit `iB` (paper Fig. 11), and the flat
+//!   μbank index ([`address::Location::ubank_flat`]) every channel API
+//!   takes.
 //! * [`bank`] — per-μbank timing FSM (ACT/RD/WR/PRE legality and latching).
 //! * [`channel`] — one memory channel: shared buses, ranks, tFAW windows,
-//!   refresh bookkeeping.
+//!   refresh bookkeeping, and the `can_*`/command pairs a controller
+//!   issues through, keyed by flat μbank index.
 //! * [`variant`] — the device-variant seam: μbank vs conventional vs SALP
 //!   vs Sectored DRAM issue rules, energy granularity, and geometry.
 //! * [`request`] — the memory-request type exchanged between the CPU model,
 //!   the controller, and the device model.
 //! * [`stats`] — event counters used by the energy model.
+//! * [`hist`] — the log-bucketed latency histogram.
+//! * [`fxhash`] — the deterministic hasher shared by the hot-path maps.
 //!
 //! ## Quick example
 //!
@@ -39,21 +46,21 @@
 //! let mut ch = Channel::new(&cfg);
 //! let map = AddressMap::new(&cfg);
 //! let loc = map.decode(0x4000);
+//! let flat = loc.ubank_flat(&cfg);
 //!
 //! // Activate a row, then read a column, respecting DRAM timing.
 //! let t0 = 0;
-//! assert!(ch.can_activate(&loc, t0));
-//! ch.activate(&loc, t0);
+//! assert!(ch.can_activate_row_flat(flat, loc.row, t0));
+//! ch.activate_flat(flat, loc.row, t0);
 //! let t1 = t0 + cfg.timings().t_rcd;
-//! assert!(ch.can_column(&loc, false, t1));
-//! let done = ch.read(&loc, t1);
+//! assert!(ch.can_column_flat(flat, loc.row, false, t1));
+//! let done = ch.read_flat(flat, t1);
 //! assert!(done > t1);
 //! ```
 
 pub mod address;
 pub mod bank;
 pub mod channel;
-pub mod command;
 pub mod config;
 pub mod fxhash;
 pub mod geometry;
@@ -86,7 +93,6 @@ pub mod prelude {
     pub use crate::address::{AddressMap, Location};
     pub use crate::bank::MicrobankState;
     pub use crate::channel::Channel;
-    pub use crate::command::{DramCommand, Target};
     pub use crate::config::{Interface, MemConfig};
     pub use crate::geometry::{DeviceGeometry, UbankConfig};
     pub use crate::hist::Histogram;

@@ -548,10 +548,6 @@ impl<S: InstrSource> CmpSystem<S> {
         &self.cores[i]
     }
 
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
-    }
-
     pub fn stats(&self) -> SystemStats {
         self.uncore.stats
     }

@@ -6,11 +6,8 @@
 //! in priority order: refresh management, then the scheduler's best demand
 //! command, then policy-driven speculative precharges.
 
-use crate::policy::PolicyKind;
-use crate::predictor::{
-    GlobalPredictor, LocalPredictor, PageDecision, PredictorKind, PredictorStats,
-    TournamentPredictor,
-};
+use crate::policy::{Policy, PolicyKind};
+use crate::predictor::{PageDecision, PredictorStats};
 use crate::qos::{QosConfig, QosRegulator};
 use crate::queue::RequestQueue;
 use crate::scheduler::{Action, Candidate, Scheduler, SchedulerKind};
@@ -82,14 +79,6 @@ struct PendingDecision {
     thread: u16,
 }
 
-enum PredictorImpl {
-    None,
-    Local(LocalPredictor),
-    Global(GlobalPredictor),
-    Tournament(TournamentPredictor),
-    Perfect,
-}
-
 /// Write-drain watermarks: when the number of queued writes reaches `hi`,
 /// the controller prioritizes writes until it falls to `lo`. Batching
 /// writes amortizes the read↔write bus turnaround (tWTR) that fine-grained
@@ -117,22 +106,19 @@ pub struct MemoryController {
     map: AddressMap,
     queue: RequestQueue,
     scheduler: Scheduler,
-    policy: PolicyKind,
-    predictor: PredictorImpl,
+    policy: Policy,
     /// Optional write-drain watermark mode.
     write_drain: Option<WriteDrain>,
     /// Currently draining writes.
     draining_writes: bool,
     /// Per-μbank pending speculative decision.
     pending: Vec<Option<PendingDecision>>,
-    /// Per-μbank policy-requested precharge not yet issued.
-    auto_pre: Vec<bool>,
-    /// Minimalist-open close deadlines (Cycle::MAX = none).
+    /// Per-μbank page-policy close deadline (`Cycle::MAX` = none): a close
+    /// decision arms `now`, minimalist-open arms `now + window`.
     close_deadline: Vec<Cycle>,
-    /// Flats with a policy precharge currently due: exactly the set
-    /// `{f : auto_pre[f] || now >= close_deadline[f]}`, maintained
-    /// incrementally. A BTreeSet so idle-slot service walks due flats in
-    /// ascending flat order — the same order the old full scan used.
+    /// Flats whose close deadline has elapsed and been promoted from
+    /// `deadline_heap`: the policy precharges currently due. A BTreeSet so
+    /// idle-slot service walks due flats in ascending flat order.
     pre_due: BTreeSet<usize>,
     /// Min-heap of pending (deadline, flat) pairs feeding `pre_due`. An
     /// entry is stale unless `close_deadline[flat]` still equals its
@@ -165,31 +151,16 @@ impl MemoryController {
         threads: usize,
     ) -> Self {
         let n = cfg.ubanks_per_channel();
-        let predictor = match policy {
-            PolicyKind::Predictive(PredictorKind::Local) => {
-                PredictorImpl::Local(LocalPredictor::new(n))
-            }
-            PolicyKind::Predictive(PredictorKind::Global) => {
-                PredictorImpl::Global(GlobalPredictor::new(threads.max(1)))
-            }
-            PolicyKind::Predictive(PredictorKind::Tournament) => {
-                PredictorImpl::Tournament(TournamentPredictor::new(n, threads.max(1)))
-            }
-            PolicyKind::Predictive(PredictorKind::Perfect) => PredictorImpl::Perfect,
-            _ => PredictorImpl::None,
-        };
         MemoryController {
             cfg: cfg.clone(),
             channel: Channel::new(cfg),
             map: AddressMap::new(cfg),
             queue: RequestQueue::new(cfg),
             scheduler: Scheduler::new(scheduler),
-            policy,
-            predictor,
+            policy: Policy::new(policy, n, threads),
             write_drain: None,
             draining_writes: false,
             pending: vec![None; n],
-            auto_pre: vec![false; n],
             close_deadline: vec![Cycle::MAX; n],
             pre_due: BTreeSet::new(),
             deadline_heap: BinaryHeap::new(),
@@ -300,23 +271,14 @@ impl MemoryController {
             } else {
                 PageDecision::Close
             };
-            // The perfect oracle is correct by construction (it resolves
-            // retroactively); every other scheme is scored on its guess.
-            let correct =
-                matches!(self.predictor, PredictorImpl::Perfect) || p.predicted == outcome;
+            let correct = self.policy.resolve(flat, p.thread, p.predicted, outcome);
             self.stats.policy_stats.record(correct);
-            match &mut self.predictor {
-                PredictorImpl::Local(l) => l.update(flat, p.predicted, outcome),
-                PredictorImpl::Global(g) => g.update(p.thread, p.predicted, outcome),
-                PredictorImpl::Tournament(t) => t.update(flat, p.thread, p.predicted, outcome),
-                PredictorImpl::Perfect => {
-                    // The oracle converts a would-be conflict into an
-                    // already-precharged bank when legal.
-                    if outcome == PageDecision::Close {
-                        let _ = self.channel.oracle_precharge_flat(flat, now);
-                    }
-                }
-                PredictorImpl::None => {}
+            // The perfect oracle converts a would-be conflict into an
+            // already-precharged bank when legal. This retroactive PRE is
+            // the one precharge that bypasses `issue`: it never occupies
+            // the command bus and is not traced.
+            if outcome == PageDecision::Close && self.policy.is_oracle() {
+                self.channel.oracle_precharge_flat(flat, now);
             }
         }
         // Row-buffer outcome classification (hit/closed/conflict) at
@@ -350,7 +312,7 @@ impl MemoryController {
                     && !self.channel.rank_all_idle(rank)
                     && self.channel.can_precharge_all(rank, now)
                 {
-                    self.issue_prea(rank, now);
+                    self.issue(CmdKind::PreA, rank, 0, now);
                 }
                 self.channel.update_powerdown(rank, now, work);
             }
@@ -368,29 +330,75 @@ impl MemoryController {
         self.service_policy_precharges(now);
     }
 
-    /// Precharge every open μbank of `rank` with one PREA, clearing any
-    /// pending policy-precharge state for the rank. Traces one record per
-    /// μbank actually closed, each with its open row (the scan is guarded
-    /// so an untraced run never pays it).
-    fn issue_prea(&mut self, rank: usize, now: Cycle) {
-        let per_rank = self.auto_pre.len() / self.refresh_draining.len();
-        let lo = rank * per_rank;
-        let hi = lo + per_rank;
-        if self.trace.is_some() {
-            for flat in lo..hi {
-                if let Some(row) = self.channel.open_row_flat(flat) {
-                    self.trace_cmd(now, CmdKind::PreA, flat, row);
-                }
+    /// Put one command on the channel's command bus: the only place the
+    /// controller mutates channel command state or records a trace entry.
+    /// `at` is the flat μbank, or the rank for PREA and REF; `row` is the
+    /// row an ACT opens, a column command accesses or a scrub restores
+    /// (PRE and PREA record the row each closed μbank held, REF records
+    /// 0). Opening or closing a row disarms that μbank's page-policy close
+    /// deadline. Returns the data-end cycle of RD/WR, else `now`.
+    fn issue(&mut self, cmd: CmdKind, at: usize, row: u32, now: Cycle) -> Cycle {
+        let (mut ubank, mut row, mut done) = (at, row, now);
+        match cmd {
+            CmdKind::Act => {
+                self.channel.activate_flat(at, row, now);
+                self.disarm(at);
             }
+            CmdKind::Pre => {
+                row = self.channel.open_row_flat(at).unwrap_or(0);
+                self.channel.precharge_flat(at, now);
+                self.disarm(at);
+            }
+            CmdKind::PreA => {
+                // One record per μbank actually closed, each with its open
+                // row (the scan is guarded so an untraced run never pays).
+                let (lo, hi) = self.rank_flats(at);
+                if self.trace.is_some() {
+                    for flat in lo..hi {
+                        if let Some(open) = self.channel.open_row_flat(flat) {
+                            self.trace_cmd(now, cmd, flat, open);
+                        }
+                    }
+                }
+                self.channel.precharge_all(at, now);
+                self.close_deadline[lo..hi].fill(Cycle::MAX);
+                while let Some(&flat) = self.pre_due.range(lo..hi).next() {
+                    self.pre_due.remove(&flat);
+                }
+                return now;
+            }
+            CmdKind::Ref => {
+                self.channel.refresh(at, now);
+                ubank = self.rank_flats(at).0;
+            }
+            CmdKind::Rd => done = self.channel.read_flat(at, now),
+            CmdKind::Wr => done = self.channel.write_flat(at, now),
+            CmdKind::Scrub => self.channel.scrub_flat(at, now),
         }
-        self.channel.precharge_all(rank, now);
-        for flat in lo..hi {
-            self.auto_pre[flat] = false;
-            self.close_deadline[flat] = Cycle::MAX;
-        }
-        while let Some(&flat) = self.pre_due.range(lo..hi).next() {
-            self.pre_due.remove(&flat);
-        }
+        self.trace_cmd(now, cmd, ubank, row);
+        done
+    }
+
+    /// Flat μbank range `[lo, hi)` of `rank`.
+    fn rank_flats(&self, rank: usize) -> (usize, usize) {
+        let per_rank = self.channel.num_ubanks() / self.refresh_draining.len();
+        (rank * per_rank, (rank + 1) * per_rank)
+    }
+
+    /// Drop μbank `flat`'s page-policy close deadline, due or pending.
+    /// Stale `deadline_heap` entries are dropped lazily by the
+    /// `close_deadline` equality check.
+    fn disarm(&mut self, flat: usize) {
+        self.close_deadline[flat] = Cycle::MAX;
+        self.pre_due.remove(&flat);
+    }
+
+    /// Arm μbank `flat`'s page-policy close deadline, superseding any
+    /// earlier one (due or pending).
+    fn arm_close(&mut self, flat: usize, deadline: Cycle) {
+        self.close_deadline[flat] = deadline;
+        self.deadline_heap.push(Reverse((deadline, flat)));
+        self.pre_due.remove(&flat);
     }
 
     /// Refresh management: when a rank's tREFI deadline passes, drain its
@@ -404,16 +412,14 @@ impl MemoryController {
             if !self.refresh_draining[rank] {
                 continue;
             }
-            let per_rank = self.auto_pre.len() / self.refresh_draining.len();
             if self.channel.rank_all_idle(rank) {
-                self.channel.refresh(rank, now);
+                self.issue(CmdKind::Ref, rank, 0, now);
                 self.refresh_draining[rank] = false;
-                self.trace_cmd(now, CmdKind::Ref, rank * per_rank, 0);
                 return true;
             }
             // Drain with one PREA once every open bank may precharge.
             if self.channel.can_precharge_all(rank, now) {
-                self.issue_prea(rank, now);
+                self.issue(CmdKind::PreA, rank, 0, now);
                 return true;
             }
         }
@@ -436,50 +442,25 @@ impl MemoryController {
                 continue;
             }
             let action = match self.channel.open_row_flat(flat) {
-                Some(open) if open == r.loc.row => {
-                    if self
+                Some(open) if open == r.loc.row => self
+                    .channel
+                    .can_column_flat(flat, open, r.is_write(), now)
+                    .then_some(Action::Column),
+                // A conflicting row in the request's own μbank, or a
+                // sibling's row the device variant's structural rules put
+                // in the way of this ACT (DESIGN §5h).
+                Some(_) => self
+                    .may_close(flat, now)
+                    .then_some(Action::Precharge(flat as u32)),
+                None => match self.channel.act_blocker(flat, r.loc.row) {
+                    Some(victim) => self
+                        .may_close(victim, now)
+                        .then_some(Action::Precharge(victim as u32)),
+                    None => self
                         .channel
-                        .can_column_flat(flat, r.loc.row, r.is_write(), now)
-                    {
-                        Some(Action::Column)
-                    } else {
-                        None
-                    }
-                }
-                Some(open) => {
-                    // Conflict: close the open row unless another queued
-                    // request still wants it (serve hits before closing).
-                    let has_hit = self.queue.any_hit_for(flat, open);
-                    if !has_hit && self.channel.can_precharge_flat(flat, now) {
-                        Some(Action::PrechargeConflict)
-                    } else {
-                        None
-                    }
-                }
-                None => {
-                    if let Some(victim) = self.channel.act_blocker(flat, r.loc.row) {
-                        // The device variant's structural rules block this
-                        // ACT behind a sibling μbank's open row (DESIGN
-                        // §5h). Close the named victim — unless another
-                        // queued request still hits its row (serve hits
-                        // before closing, as in the conflict arm).
-                        let open = self
-                            .channel
-                            .open_row_flat(victim)
-                            .expect("act_blocker names an open μbank");
-                        if !self.queue.any_hit_for(victim, open)
-                            && self.channel.can_precharge_flat(victim, now)
-                        {
-                            Some(Action::PrechargeVictim(victim as u32))
-                        } else {
-                            None
-                        }
-                    } else if self.channel.can_activate_flat(flat, now) {
-                        Some(Action::Activate)
-                    } else {
-                        None
-                    }
-                }
+                        .can_activate_flat(flat, now)
+                        .then_some(Action::Activate),
+                },
             };
             if let Some(action) = action {
                 self.scratch.push(Candidate {
@@ -546,46 +527,18 @@ impl MemoryController {
         let flat = r.flat as usize;
         match best.action {
             Action::Activate => {
-                self.channel.activate_flat(flat, r.loc.row, now);
-                self.auto_pre[flat] = false;
-                self.close_deadline[flat] = Cycle::MAX;
-                self.pre_due.remove(&flat);
-                self.trace_cmd(now, CmdKind::Act, flat, r.loc.row);
+                self.issue(CmdKind::Act, flat, r.loc.row, now);
             }
-            Action::PrechargeConflict => {
-                // Trace the row actually being closed, not the row of the
-                // conflicting request that triggered the close.
-                let closed = self.channel.open_row_flat(flat).unwrap_or(0);
-                self.channel.precharge_flat(flat, now);
-                self.auto_pre[flat] = false;
-                self.close_deadline[flat] = Cycle::MAX;
-                self.pre_due.remove(&flat);
-                self.trace_cmd(now, CmdKind::Pre, flat, closed);
-            }
-            Action::PrechargeVictim(victim) => {
-                // Structural unblock: close the sibling μbank standing in
-                // the way of this request's ACT. The request's own μbank
-                // stays closed; its Activate becomes schedulable next.
-                let victim = victim as usize;
-                let closed = self.channel.open_row_flat(victim).unwrap_or(0);
-                self.channel.precharge_flat(victim, now);
-                self.auto_pre[victim] = false;
-                self.close_deadline[victim] = Cycle::MAX;
-                self.pre_due.remove(&victim);
-                self.trace_cmd(now, CmdKind::Pre, victim, closed);
+            Action::Precharge(target) => {
+                self.issue(CmdKind::Pre, target as usize, 0, now);
             }
             Action::Column => {
-                let done = if r.is_write() {
-                    self.channel.write_flat(flat, now)
-                } else {
-                    self.channel.read_flat(flat, now)
-                };
                 let kind = if r.is_write() {
                     CmdKind::Wr
                 } else {
                     CmdKind::Rd
                 };
-                self.trace_cmd(now, kind, flat, r.loc.row);
+                let done = self.issue(kind, flat, r.loc.row, now);
                 // Reliability: assess the read's ECC outcome. A corrected
                 // error triggers one demand retry — the burst above was
                 // spent (timing/energy already charged), but the request
@@ -654,18 +607,22 @@ impl MemoryController {
         true
     }
 
+    /// May μbank `flat`'s open row be precharged now? Not while a queued
+    /// request still hits it: hits are served before a row closes.
+    fn may_close(&self, flat: usize, now: Cycle) -> bool {
+        self.channel.open_row_flat(flat).is_some_and(|open| {
+            !self.queue.any_hit_for(flat, open) && self.channel.can_precharge_flat(flat, now)
+        })
+    }
+
     /// Drop page-policy state still armed for a μbank the reliability
-    /// engine just retired: the pending decision, any predictor
-    /// auto-precharge, and the close deadline. Without this, a stale
-    /// deadline promotes the dead μbank back into `pre_due`, where it
-    /// keeps the controller awake for a precharge that can never issue.
-    /// Stale `deadline_heap` entries are dropped lazily by the
-    /// `close_deadline` equality check.
+    /// engine just retired: the pending decision and the close deadline.
+    /// Without this, a stale deadline promotes the dead μbank back into
+    /// `pre_due`, where it keeps the controller awake for a precharge that
+    /// can never issue.
     fn clear_retired_policy_state(&mut self, flat: usize) {
         self.pending[flat] = None;
-        self.auto_pre[flat] = false;
-        self.close_deadline[flat] = Cycle::MAX;
-        self.pre_due.remove(&flat);
+        self.disarm(flat);
     }
 
     /// Patrol scrubbing on otherwise-idle command slots: background
@@ -697,17 +654,11 @@ impl MemoryController {
         if self.refresh_draining[rank] {
             return false;
         }
-        if let Some(open) = self.channel.open_row_flat(flat_us) {
-            // The target holds an open row. Close it on this idle slot
-            // unless demand traffic still wants it (hits always win).
-            if !self.queue.any_hit_for(flat_us, open)
-                && self.channel.can_precharge_flat(flat_us, now)
-            {
-                self.channel.precharge_flat(flat_us, now);
-                self.auto_pre[flat_us] = false;
-                self.close_deadline[flat_us] = Cycle::MAX;
-                self.pre_due.remove(&flat_us);
-                self.trace_cmd(now, CmdKind::Pre, flat_us, open);
+        if self.channel.open_row_flat(flat_us).is_some() {
+            // The target holds an open row: close it on this idle slot
+            // unless demand traffic still wants it.
+            if self.may_close(flat_us, now) {
+                self.issue(CmdKind::Pre, flat_us, 0, now);
                 return true;
             }
             return false;
@@ -715,8 +666,7 @@ impl MemoryController {
         if !self.channel.can_scrub_flat(flat_us, now) {
             return false;
         }
-        self.channel.scrub_flat(flat_us, now);
-        self.trace_cmd(now, CmdKind::Scrub, flat_us, row);
+        self.issue(CmdKind::Scrub, flat_us, row, now);
         let age = self.channel.refresh_age_frac(rank, now);
         let eng = self.faults.as_deref_mut().unwrap();
         let before = eng.summary.corrected;
@@ -738,34 +688,12 @@ impl MemoryController {
     /// Apply the page policy to a bank whose queue just drained.
     fn speculate(&mut self, flat: usize, row: u32, thread: u16, now: Cycle) {
         self.stats.speculative_decisions += 1;
-        let decision = match (&self.predictor, self.policy) {
-            (_, PolicyKind::Open) => PageDecision::KeepOpen,
-            (_, PolicyKind::Close) => PageDecision::Close,
-            (_, PolicyKind::MinimalistOpen { window_cycles }) => {
-                let deadline = now + window_cycles;
-                self.close_deadline[flat] = deadline;
-                self.deadline_heap.push(Reverse((deadline, flat)));
-                // Re-arming supersedes any already-elapsed deadline; the
-                // flat is only still due if a predictor precharge is also
-                // pending (disjoint policies in practice, but cheap to
-                // honor exactly).
-                if !self.auto_pre[flat] {
-                    self.pre_due.remove(&flat);
-                }
-                PageDecision::KeepOpen
-            }
-            (PredictorImpl::Local(l), _) => l.predict(flat),
-            (PredictorImpl::Global(g), _) => g.predict(thread),
-            (PredictorImpl::Tournament(t), _) => t.predict(flat, thread),
-            (PredictorImpl::Perfect, _) => PageDecision::KeepOpen, // oracle resolves later
-            (PredictorImpl::None, _) => PageDecision::KeepOpen,
-        };
-        if decision == PageDecision::Close {
-            self.auto_pre[flat] = true;
-            self.pre_due.insert(flat);
+        let (predicted, close_after) = self.policy.decide(flat, thread);
+        if let Some(after) = close_after {
+            self.arm_close(flat, now + after);
         }
         self.pending[flat] = Some(PendingDecision {
-            predicted: decision,
+            predicted,
             row,
             thread,
         });
@@ -794,12 +722,7 @@ impl MemoryController {
         else {
             return;
         };
-        let row = self.channel.open_row_flat(flat).unwrap_or(0);
-        self.channel.precharge_flat(flat, now);
-        self.auto_pre[flat] = false;
-        self.close_deadline[flat] = Cycle::MAX;
-        self.pre_due.remove(&flat);
-        self.trace_cmd(now, CmdKind::Pre, flat, row);
+        self.issue(CmdKind::Pre, flat, 0, now);
     }
 
     /// Wake cycle of a provably idle controller: `None` unless the queue
@@ -845,16 +768,12 @@ impl MemoryController {
     pub fn policy_hit_rate(&self) -> f64 {
         self.stats.policy_stats.hit_rate()
     }
-
-    /// Active page policy.
-    pub fn policy(&self) -> PolicyKind {
-        self.policy
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predictor::PredictorKind;
     use microbank_core::request::ReqKind;
 
     fn cfg(nw: usize, nb: usize) -> MemConfig {
@@ -1376,7 +1295,6 @@ mod tests {
         // The deadline `speculate` armed on service must be gone, along
         // with every other piece of policy state for the flat.
         assert_eq!(c.close_deadline[flat], Cycle::MAX);
-        assert!(!c.auto_pre[flat]);
         assert!(c.pending[flat].is_none());
         assert!(!c.pre_due.contains(&flat));
         // And no policy PRE may fire once the window elapses: the heap's

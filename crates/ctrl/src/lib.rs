@@ -23,7 +23,7 @@ pub mod queue;
 pub mod scheduler;
 
 pub use controller::{Completion, CtrlStats, MemoryController, WriteDrain};
-pub use policy::{PagePolicy, PolicyKind};
+pub use policy::PolicyKind;
 pub use predictor::{
     BimodalCounter, GlobalPredictor, LocalPredictor, PageDecision, PredictorKind, PredictorStats,
     TournamentPredictor,

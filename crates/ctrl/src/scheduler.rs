@@ -1,4 +1,4 @@
-//! Memory-access scheduling: FR-FCFS and PAR-BS (Mutlu & Moscibroda [46]),
+//! Memory-access scheduling: FR-FCFS and PAR-BS (Mutlu & Moscibroda \[46\]),
 //! the paper's default scheduler (§VI-A).
 //!
 //! PAR-BS forms *batches*: when no marked requests remain, it marks up to
@@ -39,13 +39,11 @@ pub enum Action {
     Column,
     /// ACT on an idle bank.
     Activate,
-    /// PRE of a conflicting open row.
-    PrechargeConflict,
-    /// PRE of a *sibling* μbank whose open row structurally blocks this
-    /// request's ACT under the device variant's issue rules (SALP open-row
-    /// limit, Sectored shared row decoder). Carries the victim's flat
-    /// index — the request's own μbank is closed and untouched.
-    PrechargeVictim(u32),
+    /// PRE of the flat μbank named: the request's own μbank when a
+    /// conflicting row is open, or a *sibling* whose open row structurally
+    /// blocks this request's ACT under the device variant's issue rules
+    /// (SALP open-row limit, Sectored shared row decoder).
+    Precharge(u32),
 }
 
 /// A schedulable (queue entry, action) pair with priority inputs.

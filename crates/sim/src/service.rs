@@ -322,7 +322,7 @@ impl SweepService {
         Arc::clone(&self.inner.metrics)
     }
 
-    /// True once a drain (signal, `POST /shutdown`, or [`shutdown`])
+    /// True once a drain (signal, `POST /shutdown`, or [`Self::shutdown`])
     /// has completed and the workers stopped.
     pub fn stopped(&self) -> bool {
         self.inner.stop.load(Ordering::Acquire)

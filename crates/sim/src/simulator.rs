@@ -1441,7 +1441,8 @@ pub(crate) fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Run many configurations concurrently, one `Result` slot per config,
-/// on [`sweep_threads`] worker threads (at most one per config). Each
+/// on one worker thread per config, up to `MICROBANK_THREADS` (default:
+/// the machine's available parallelism). Each
 /// slot goes through [`try_run`] with a panic net on top: a run that
 /// fails reports its typed [`SimError`] in its slot instead of tearing
 /// down the whole sweep — the surviving slots still come back.

@@ -6,7 +6,7 @@
 //! and the energy model's latch dispatch. For the two legacy variants the
 //! rules are `NONE`, so the seam must be invisible: bit-identical
 //! fingerprints against both the legacy `with_ubanks` construction and the
-//! committed golden table, with time-skip on and off.
+//! committed golden table, with the idle-controller wake on and off.
 //!
 //! SALP and Sectored have no legacy reference, so their pinned property is
 //! internal consistency: the idle-controller wake must reproduce per-slot
@@ -107,11 +107,11 @@ fn microbank_seam_is_identical_to_legacy_8x8_everywhere() {
     }
 }
 
-/// The structural variants exercise the new legality rules; the time-skip
-/// horizon must stay an exact dual of the per-cycle predicates (a victim
-/// blocked by variant state folds the victim's precharge, a shared-bitline
-/// wait folds the burst end). Any inexactness shows up as a fingerprint
-/// mismatch between the two drive modes.
+/// The structural variants exercise the new legality rules; a controller
+/// only sleeps on an empty queue, so the idle-controller wake must
+/// reproduce per-slot ticking exactly on them too (victim precharges and
+/// shared-bitline waits included). Any inexactness shows up as a
+/// fingerprint mismatch between the wake on and off.
 #[test]
 fn structural_variants_are_skip_exact() {
     let variants = [
