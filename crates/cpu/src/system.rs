@@ -16,7 +16,8 @@ use crate::rob::{Core, MemOutcome, StallKind};
 use microbank_core::fxhash::{FxHashMap, FxHashSet};
 use microbank_core::request::TenantId;
 use microbank_core::Cycle;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A main-memory line request leaving the CMP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,25 +166,21 @@ impl Uncore {
     }
 
     /// Apply write invalidations to every other cluster in `bitmap`.
-    fn apply_invalidations(&mut self, line: u64, bitmap: u64, now: Cycle, port: &mut dyn MemPort) {
+    ///
+    /// A dirty invalidated copy migrates to the writer, not memory; memory
+    /// is updated when the new owner eventually evicts. The case only
+    /// arises when the directory believed the line Shared (clean), so a
+    /// dirty copy here is an L1-only write the writer's copy absorbs (the
+    /// writer installs dirty anyway): the dirty bits are dropped.
+    fn apply_invalidations(&mut self, line: u64, bitmap: u64) {
         let mut bits = bitmap;
         while bits != 0 {
             let c = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            let mut dirty = self.l2[c].invalidate(line).unwrap_or(false);
+            self.l2[c].invalidate(line);
             for core in self.cores_of(c) {
-                if let Some(d) = self.l1[core].invalidate(line) {
-                    dirty |= d;
-                }
+                self.l1[core].invalidate(line);
             }
-            // A dirty invalidated copy migrates to the writer, not memory;
-            // memory is updated when the new owner eventually evicts. The
-            // case only arises when the directory believed the line Shared
-            // (clean), so dirty here indicates an L1-only write: fold it
-            // into the writer's copy by ignoring (the writer installs
-            // dirty anyway).
-            let _ = dirty;
-            let _ = (now, &port);
         }
     }
 
@@ -277,7 +274,7 @@ impl Uncore {
                     latency += cfg.dir_latency + cfg.noc_latency;
                 }
                 let _ = action; // data already local
-                self.apply_invalidations(line, inv, now, port);
+                self.apply_invalidations(line, inv);
             }
             // `fill_hierarchy` specialized for a line we just probed in
             // this L2: its `l2.fill(line, false)` finds the line present
@@ -326,7 +323,7 @@ impl Uncore {
         } else {
             (self.dir.read_miss(line, cluster), 0)
         };
-        self.apply_invalidations(line, inv, now, port);
+        self.apply_invalidations(line, inv);
         match action {
             CoherenceAction::ForwardFromOwner {
                 owner,
@@ -403,17 +400,30 @@ pub struct CmpSystem<S: InstrSource> {
     cores: Vec<Core>,
     sources: Vec<S>,
     uncore: Uncore,
-    /// Per-core earliest-progress cycle: while `core_wake[i] > now`, core
-    /// `i` can make no progress before `core_wake[i]` — its ROB is full
-    /// with an unready head, or its dispatch is wedged on an MSHR-stalled
-    /// replay — so ticking it would only bump the stall counter named by
-    /// `core_stall[i]`, which [`CmpSystem::tick`] bumps directly. Any fill for
-    /// the core (or, for MSHR wedges, any fill to its cluster that frees
-    /// an MSHR) resets its entry to 0 (see [`CmpSystem::on_fill`]).
+    /// The awake set, one bit per core: [`CmpSystem::tick`] visits exactly
+    /// these cores, in index order. A core falls asleep when
+    /// [`Core::quiesced_until`] says it can make no progress before a later
+    /// cycle (its ROB is full with an unready head, or its dispatch is
+    /// wedged on an MSHR-stalled replay), because ticking it would only
+    /// bump one stall counter. It wakes on the first of three triggers:
+    /// its timed wake arrives (`timed`), a fill completes one of its loads,
+    /// or — for an MSHR wedge — a fill to its cluster frees one of its
+    /// MSHR entries (see [`CmpSystem::on_fill`]).
+    awake: Vec<u64>,
+    /// Per sleeping core: its timed wake (`Cycle::MAX` = only a fill).
     core_wake: Vec<Cycle>,
-    /// Which stall counter each quiesced core accrues per cycle (valid
-    /// while `core_wake[i] > now`; see [`Core::quiesced_until`]).
+    /// Per sleeping core: the stall counter each skipped tick would bump.
     core_stall: Vec<StallKind>,
+    /// Per sleeping core: the index of the first tick it skipped. The
+    /// skipped ticks are charged to `core_stall` in one step when the core
+    /// wakes, or at [`CmpSystem::flush_stalls`].
+    slept_from: Vec<u64>,
+    /// Tick calls so far.
+    ticks: u64,
+    /// Min-heap of (timed wake, core) for sleeping cores. An entry whose
+    /// core woke early, or slept again with another wake, is stale and is
+    /// dropped when popped.
+    timed: BinaryHeap<Reverse<(Cycle, usize)>>,
 }
 
 impl<S: InstrSource> CmpSystem<S> {
@@ -425,12 +435,20 @@ impl<S: InstrSource> CmpSystem<S> {
             .collect();
         let clusters = cfg.clusters();
         let tenants = sources.iter().map(|s| s.tenant()).collect();
+        let mut awake = vec![0u64; cfg.cores.div_ceil(64)];
+        for i in 0..cfg.cores {
+            awake[i / 64] |= 1 << (i % 64);
+        }
         CmpSystem {
             cfg,
             cores,
             sources,
+            awake,
             core_wake: vec![0; cfg.cores],
             core_stall: vec![StallKind::RobFull; cfg.cores],
+            slept_from: vec![0; cfg.cores],
+            ticks: 0,
+            timed: BinaryHeap::new(),
             uncore: Uncore {
                 cfg,
                 l1: (0..cfg.cores)
@@ -457,7 +475,44 @@ impl<S: InstrSource> CmpSystem<S> {
         }
     }
 
-    /// Advance every core one cycle, submitting memory traffic to `port`.
+    fn is_asleep(&self, i: usize) -> bool {
+        self.awake[i / 64] & (1 << (i % 64)) == 0
+    }
+
+    /// Charge sleeping core `i` the ticks it has skipped so far.
+    fn charge_sleep(&mut self, i: usize) {
+        let skipped = self.ticks - self.slept_from[i];
+        self.slept_from[i] = self.ticks;
+        match self.core_stall[i] {
+            StallKind::RobFull => self.cores[i].account_rob_full_cycles(skipped),
+            StallKind::MshrReplay => self.cores[i].account_mshr_stall_cycles(skipped),
+        }
+    }
+
+    /// Return core `i` to the awake set (no-op if it is awake): it ticks
+    /// again from the next tick on.
+    fn wake(&mut self, i: usize) {
+        if self.is_asleep(i) {
+            self.charge_sleep(i);
+            self.awake[i / 64] |= 1 << (i % 64);
+        }
+    }
+
+    /// Charge every sleeping core the ticks it has skipped so far, so each
+    /// core's [`CoreStats`](crate::rob::CoreStats) is exact. Until then a
+    /// sleeping core's `rob_full_cycles` / `mshr_stall_cycles` lag by the
+    /// ticks since it fell asleep (or since the last flush); every other
+    /// statistic is always exact.
+    pub fn flush_stalls(&mut self) {
+        for i in 0..self.cores.len() {
+            if self.is_asleep(i) {
+                self.charge_sleep(i);
+            }
+        }
+    }
+
+    /// Advance every awake core one cycle, submitting memory traffic to
+    /// `port`. Called once per cycle.
     pub fn tick(&mut self, now: Cycle, port: &mut dyn MemPort) {
         // Retry backlogged submissions first (bounded by MSHRs).
         while let Some(&req) = self.uncore.backlog.front() {
@@ -467,29 +522,47 @@ impl<S: InstrSource> CmpSystem<S> {
                 break;
             }
         }
-        let uncore = &mut self.uncore;
-        for (i, core) in self.cores.iter_mut().enumerate() {
-            // A quiesced core (full ROB with an unready head, or dispatch
-            // wedged on an MSHR-stalled replay) can make no progress:
-            // ticking it would only bump one stall counter. Account that
-            // stall and skip the whole cache/closure path (dominant when
-            // most cores block on the massive-bank memory system).
-            if self.core_wake[i] > now {
-                match self.core_stall[i] {
-                    StallKind::RobFull => core.account_rob_full_cycles(1),
-                    StallKind::MshrReplay => core.account_mshr_stall_cycles(1),
-                }
-                continue;
+        while let Some(&Reverse((at, i))) = self.timed.peek() {
+            if at > now {
+                break;
             }
-            core.commit(now);
-            let cluster = i / uncore.cfg.cores_per_cluster;
-            let src = &mut self.sources[i];
-            core.dispatch(now, src, |addr, w, seq| {
-                uncore.mem_access(i, cluster, addr, w, seq, now, port)
-            });
-            let (wake, stall) = core.quiesced_until();
-            self.core_wake[i] = wake;
-            self.core_stall[i] = stall;
+            self.timed.pop();
+            if self.is_asleep(i) && self.core_wake[i] == at {
+                self.wake(i);
+            }
+        }
+        debug_assert!(
+            (0..self.cores.len()).all(|i| !self.is_asleep(i) || self.core_wake[i] > now),
+            "a sleeping core's timed wake has passed at {now}"
+        );
+        self.ticks += 1;
+        let uncore = &mut self.uncore;
+        for w in 0..self.awake.len() {
+            let mut bits = self.awake[w];
+            while bits != 0 {
+                let bit = bits & bits.wrapping_neg();
+                bits ^= bit;
+                let i = w * 64 + bit.trailing_zeros() as usize;
+                let core = &mut self.cores[i];
+                core.commit(now);
+                let cluster = i / uncore.cfg.cores_per_cluster;
+                let src = &mut self.sources[i];
+                core.dispatch(now, src, |addr, wr, seq| {
+                    uncore.mem_access(i, cluster, addr, wr, seq, now, port)
+                });
+                // Asleep from the next tick on if that tick could only
+                // bump a stall counter.
+                let (wake, stall) = core.quiesced_until();
+                if wake > now + 1 {
+                    self.awake[w] ^= bit;
+                    self.core_wake[i] = wake;
+                    self.core_stall[i] = stall;
+                    self.slept_from[i] = self.ticks;
+                    if wake != Cycle::MAX {
+                        self.timed.push(Reverse((wake, i)));
+                    }
+                }
+            }
         }
     }
 
@@ -515,17 +588,17 @@ impl<S: InstrSource> CmpSystem<S> {
                 }
             }
             self.cores[core].complete_load(seq, ready);
-            self.core_wake[core] = 0; // re-evaluate stall next tick
+            self.wake(core); // re-evaluate its stall next tick
         }
         // Release every core's MSHR entry for this line. A freed entry can
         // unwedge a core whose dispatch is replaying against a full MSHR
-        // file even when none of its own loads completed, so its wake must
-        // be re-evaluated at the next tick.
+        // file even when none of its own loads completed, so it must be
+        // re-evaluated at the next tick.
         for core in self.uncore.cores_of(p.cluster) {
             if self.uncore.mshr[core].complete(p.line).is_some()
                 && self.core_stall[core] == StallKind::MshrReplay
             {
-                self.core_wake[core] = 0;
+                self.wake(core);
             }
         }
     }
@@ -544,6 +617,8 @@ impl<S: InstrSource> CmpSystem<S> {
         }
     }
 
+    /// Core `i` (its stall counters lag while it sleeps; see
+    /// [`CmpSystem::flush_stalls`]).
     pub fn core(&self, i: usize) -> &Core {
         &self.cores[i]
     }
@@ -822,11 +897,23 @@ mod tests {
         }
     }
 
-    /// Everything a run leaves in the CMP, rendered for comparison. Cache
-    /// *miss* counters are left out: an unquiesced MSHR-wedged core
-    /// re-probes its L1 and L2 on every replay and counts a miss in each,
-    /// which the quiesced core does not.
-    fn cmp_state(sys: &CmpSystem<PoolSource>, mem: &TestMemory) -> String {
+    impl<S: InstrSource> CmpSystem<S> {
+        /// Wake every sleeping core, so the next tick visits them all: the
+        /// unquiesced reference ticks every core on every cycle.
+        fn wake_all(&mut self) {
+            for i in 0..self.cores.len() {
+                self.wake(i);
+            }
+        }
+    }
+
+    /// Everything a run leaves in the CMP, rendered for comparison: full
+    /// per-core statistics (stall counters included, so sleeping cores'
+    /// stalls are flushed first). Cache *miss* counters are left out: an
+    /// unquiesced MSHR-wedged core re-probes its L1 and L2 on every replay
+    /// and counts a miss in each, which the quiesced core does not.
+    fn cmp_state(sys: &mut CmpSystem<PoolSource>, mem: &TestMemory) -> String {
+        sys.flush_stalls();
         let cores: Vec<String> = sys.cores.iter().map(|c| format!("{:?}", c.stats)).collect();
         let hits: Vec<u64> = sys
             .uncore
@@ -843,12 +930,21 @@ mod tests {
         )
     }
 
-    /// Run eight cores (two clusters) on private line pools, either with
-    /// the per-core quiesce or as the unquiesced reference (every wake
-    /// cleared before each tick, so every core commits and dispatches on
-    /// every cycle). Returns the final state and how many fills re-armed
-    /// an MSHR-wedged core that was not one of the fill's waiters.
-    fn run_pool(quiesce: bool, mshrs: usize, cycles: Cycle) -> (String, u64) {
+    /// What [`run_pool`] reports about a run.
+    struct PoolRun {
+        state: String,
+        /// Fills that re-armed an MSHR-wedged core that was not one of the
+        /// fill's waiters.
+        rearms: u64,
+        /// Cores asleep when the run ended.
+        asleep_at_end: usize,
+    }
+
+    /// Run eight cores (two clusters) on private line pools for `cycles`,
+    /// either with the per-core quiesce or as the unquiesced reference
+    /// (every core woken before each tick, so every core commits and
+    /// dispatches on every cycle).
+    fn run_pool(quiesce: bool, mshrs: usize, cycles: Cycle) -> PoolRun {
         let mut cfg = CmpConfig::small(8);
         cfg.mshrs_per_core = mshrs;
         let sources = (0..8)
@@ -868,41 +964,62 @@ mod tests {
                     .get(&id)
                     .map_or(Vec::new(), |p| p.waiters.iter().map(|&(c, _)| c).collect());
                 let wedged: Vec<bool> = (0..8)
-                    .map(|i| sys.core_wake[i] > now && sys.core_stall[i] == StallKind::MshrReplay)
+                    .map(|i| sys.is_asleep(i) && sys.core_stall[i] == StallKind::MshrReplay)
                     .collect();
                 sys.on_fill(id, now, &mut mem);
                 rearms += (0..8)
-                    .filter(|&i| wedged[i] && sys.core_wake[i] == 0 && !waiters.contains(&i))
+                    .filter(|&i| wedged[i] && !sys.is_asleep(i) && !waiters.contains(&i))
                     .count() as u64;
             }
             if !quiesce {
-                sys.core_wake.fill(0);
+                sys.wake_all();
             }
             sys.tick(now, &mut mem);
         }
-        (cmp_state(&sys, &mem), rearms)
+        let asleep_at_end = (0..8).filter(|&i| sys.is_asleep(i)).count();
+        PoolRun {
+            state: cmp_state(&mut sys, &mem),
+            rearms,
+            asleep_at_end,
+        }
     }
 
     #[test]
     fn quiesce_matches_unquiesced_reference() {
         for mshrs in [2, 8, 64] {
-            let (quiesced, _) = run_pool(true, mshrs, 30_000);
             assert_eq!(
-                quiesced,
-                run_pool(false, mshrs, 30_000).0,
+                run_pool(true, mshrs, 30_000).state,
+                run_pool(false, mshrs, 30_000).state,
                 "mshrs = {mshrs}"
             );
         }
     }
 
+    /// Runs that end while cores sleep: the flush must charge exactly the
+    /// stall cycles the unquiesced reference counted one by one.
+    #[test]
+    fn quiesce_flush_matches_reference_when_run_ends_asleep() {
+        let mut ended_asleep = 0;
+        for (mshrs, cycles) in [(1, 5_003), (2, 7_919), (8, 12_345), (64, 20_011)] {
+            let quiesced = run_pool(true, mshrs, cycles);
+            ended_asleep += quiesced.asleep_at_end;
+            assert_eq!(
+                quiesced.state,
+                run_pool(false, mshrs, cycles).state,
+                "mshrs = {mshrs}, {cycles} cycles"
+            );
+        }
+        assert!(ended_asleep > 0, "no run ended with a core asleep");
+    }
+
     /// A store miss's fill has no waiters (the store retired at once), yet
-    /// it frees an MSHR entry: `on_fill` must re-arm the core wedged behind
+    /// it frees an MSHR entry: `on_fill` must wake the core wedged behind
     /// that entry, or the quiesced core sleeps past the cycle its replay
     /// would succeed.
     #[test]
     fn fill_rearms_mshr_wedged_core_it_does_not_wake() {
-        let (quiesced, rearms) = run_pool(true, 1, 30_000);
-        assert!(rearms > 0, "no fill freed a wedged core's MSHR");
-        assert_eq!(quiesced, run_pool(false, 1, 30_000).0);
+        let quiesced = run_pool(true, 1, 30_000);
+        assert!(quiesced.rearms > 0, "no fill freed a wedged core's MSHR");
+        assert_eq!(quiesced.state, run_pool(false, 1, 30_000).state);
     }
 }

@@ -12,7 +12,7 @@ use crate::qos::{QosConfig, QosRegulator};
 use crate::queue::RequestQueue;
 use crate::scheduler::{Action, Candidate, Scheduler, SchedulerKind};
 use microbank_core::address::AddressMap;
-use microbank_core::channel::Channel;
+use microbank_core::channel::{Channel, RankGates};
 use microbank_core::config::MemConfig;
 use microbank_core::request::{MemRequest, TenantId};
 use microbank_core::Cycle;
@@ -128,6 +128,14 @@ pub struct MemoryController {
     refresh_draining: Vec<bool>,
     completions: Vec<Completion>,
     scratch: Vec<Candidate>,
+    /// Per-μbank stamp: `hit_epoch[flat] == scan_epoch` iff the current
+    /// demand scan found a queued request hitting `flat`'s open row.
+    hit_epoch: Vec<u32>,
+    /// The current demand scan's stamp (never 0, so a fresh or reset
+    /// `hit_epoch` entry matches no scan).
+    scan_epoch: u32,
+    /// Per-rank issue gates of the current demand scan.
+    gates: Vec<RankGates>,
     pub stats: CtrlStats,
     /// This controller's channel index, stamped into trace records.
     channel_id: u16,
@@ -167,6 +175,9 @@ impl MemoryController {
             refresh_draining: vec![false; cfg.ranks_per_channel],
             completions: Vec::new(),
             scratch: Vec::new(),
+            hit_epoch: vec![0; n],
+            scan_epoch: 0,
+            gates: Vec::with_capacity(cfg.ranks_per_channel),
             stats: CtrlStats::default(),
             channel_id: 0,
             trace: None,
@@ -431,48 +442,72 @@ impl MemoryController {
         if self.queue.is_empty() {
             return false;
         }
-        self.scheduler.maybe_form_batch(&self.queue);
+        self.scheduler.maybe_form_batch(&mut self.queue);
 
+        // One pass over the queue's dense scan view against the channel's
+        // dense open-row array. A request whose row is open stamps its
+        // μbank with this scan's epoch; precharge candidates that would
+        // close a stamped μbank's row are dropped after the pass, because
+        // hits are served before a row closes.
+        self.scan_epoch = self.scan_epoch.wrapping_add(1);
+        if self.scan_epoch == 0 {
+            self.hit_epoch.fill(0);
+            self.scan_epoch = 1;
+        }
+        let epoch = self.scan_epoch;
+        // The rank-level halves of the legality checks, once per rank.
+        let ch = &self.channel;
+        self.gates.clear();
+        self.gates
+            .extend((0..self.refresh_draining.len()).map(|r| ch.rank_gates(r, now)));
+        let open_rows = ch.open_rows();
         self.scratch.clear();
-        for idx in self.queue.indices() {
-            let r = self.queue.get(idx);
-            let flat = r.flat as usize;
-            let rank = r.loc.rank as usize;
+        for (idx, e) in self.queue.scan().iter().enumerate() {
+            let flat = e.flat as usize;
+            let open = open_rows[flat];
+            if open == Some(e.row) {
+                self.hit_epoch[flat] = epoch;
+            }
+            let rank = e.rank as usize;
             if self.refresh_draining[rank] {
                 continue;
             }
-            let action = match self.channel.open_row_flat(flat) {
-                Some(open) if open == r.loc.row => self
-                    .channel
-                    .can_column_flat(flat, open, r.is_write(), now)
+            let g = self.gates[rank];
+            let action = match open {
+                Some(open) if open == e.row => ch
+                    .can_column_in(g, flat, open, e.is_write, now)
                     .then_some(Action::Column),
                 // A conflicting row in the request's own μbank, or a
-                // sibling's row the device variant's structural rules put
-                // in the way of this ACT (DESIGN §5h).
-                Some(_) => self
-                    .may_close(flat, now)
+                // sibling's row (same bank, so same rank) the device
+                // variant's structural rules put in the way of this ACT
+                // (DESIGN §5h).
+                Some(_) => ch
+                    .can_precharge_in(g, flat, now)
                     .then_some(Action::Precharge(flat as u32)),
-                None => match self.channel.act_blocker(flat, r.loc.row) {
-                    Some(victim) => self
-                        .may_close(victim, now)
+                None => match ch.act_blocker(flat, e.row) {
+                    Some(victim) => ch
+                        .can_precharge_in(g, victim, now)
                         .then_some(Action::Precharge(victim as u32)),
-                    None => self
-                        .channel
-                        .can_activate_flat(flat, now)
-                        .then_some(Action::Activate),
+                    None => ch.can_activate_in(g, flat, now).then_some(Action::Activate),
                 },
             };
             if let Some(action) = action {
+                let r = self.queue.get(idx);
                 self.scratch.push(Candidate {
                     idx,
                     action,
                     id: r.id,
                     thread: r.thread,
                     arrival: r.arrival,
+                    marked: e.marked,
                     tenant: r.tenant,
                 });
             }
         }
+        let hit_epoch = &self.hit_epoch;
+        self.scratch.retain(
+            |c| !matches!(c.action, Action::Precharge(v) if hit_epoch[v as usize] == epoch),
+        );
         // Write-drain watermark mode: batch writes to amortize tWTR.
         if let Some(wd) = self.write_drain {
             let writes = self.queue.writes_queued();
@@ -482,12 +517,10 @@ impl MemoryController {
                 self.draining_writes = false;
             }
             if self.draining_writes {
-                let has_write_candidate = self
-                    .scratch
-                    .iter()
-                    .any(|c| self.queue.get(c.idx).is_write());
+                let scan = self.queue.scan();
+                let has_write_candidate = self.scratch.iter().any(|c| scan[c.idx].is_write);
                 if has_write_candidate {
-                    self.scratch.retain(|c| self.queue.get(c.idx).is_write());
+                    self.scratch.retain(|c| scan[c.idx].is_write);
                     self.stats.drain_selections += 1;
                 }
             }
@@ -564,7 +597,6 @@ impl MemoryController {
                     }
                 }
                 self.queue.remove(best.idx);
-                self.scheduler.note_serviced(r.id);
                 if r.is_write() {
                     self.stats.served_writes += 1;
                 } else {
@@ -608,7 +640,9 @@ impl MemoryController {
     }
 
     /// May μbank `flat`'s open row be precharged now? Not while a queued
-    /// request still hits it: hits are served before a row closes.
+    /// request still hits it: hits are served before a row closes. (The
+    /// scrubber's check; the demand scan derives the same answer for every
+    /// open row in its own pass.)
     fn may_close(&self, flat: usize, now: Cycle) -> bool {
         self.channel.open_row_flat(flat).is_some_and(|open| {
             !self.queue.any_hit_for(flat, open) && self.channel.can_precharge_flat(flat, now)
@@ -955,7 +989,11 @@ mod tests {
                 c.tick(now);
             }
             let flat = c.map().decode(0).ubank_flat(&cf);
-            assert_eq!(c.channel.ubank(flat).is_idle(), want_idle, "{policy:?}");
+            assert_eq!(
+                c.channel.open_row_flat(flat).is_none(),
+                want_idle,
+                "{policy:?}"
+            );
         }
     }
 
@@ -1043,6 +1081,26 @@ mod tests {
                 "perfect {perfect} vs best static {best}"
             );
         }
+    }
+
+    /// Epoch 0 is never a live stamp, so μbanks no scan has stamped (and
+    /// the whole array after a wrap) never read as hit: the wrapping scan
+    /// still issues a conflict's precharge.
+    #[test]
+    fn hit_epoch_wrap_keeps_conflict_precharge() {
+        let cf = cfg(1, 1);
+        let mut c = ctrl(&cf, PolicyKind::Open);
+        c.enqueue(mkreq(&c, 1, 0, ReqKind::Read, 0), 0);
+        let done = run_until(&mut c, 1, 10_000);
+        // Row 0 stays open (open page); row 1 of the same bank conflicts.
+        let now = done[0].at + 1_000;
+        c.enqueue(mkreq(&c, 2, 1 << 16, ReqKind::Read, 0), now);
+        c.hit_epoch.fill(0);
+        c.scan_epoch = u32::MAX;
+        let pres = c.channel.stats.precharges;
+        c.tick(now);
+        assert_eq!(c.channel.stats.precharges, pres + 1);
+        assert_eq!(c.scan_epoch, 1);
     }
 
     #[test]

@@ -1,18 +1,17 @@
 //! The controller's bounded request queue.
 //!
 //! Each memory controller holds pending requests in a 32-entry queue
-//! (§VI-A). The scheduler scans it every command slot, so the queue keeps
-//! simple dense storage plus three incrementally-maintained indexes the
-//! hot path consults in O(1):
+//! (§VI-A). The scheduler scans it every command slot, so beside the full
+//! request records the queue keeps a dense per-entry scan view (flat μbank,
+//! row, rank, kind and the PAR-BS batch mark) that the scan reads without
+//! touching the records, plus two incrementally-maintained counts the hot
+//! path consults in O(1):
 //!
 //! - per-μbank occupancy counts, which the page policies consult ("as long
 //!   as the queue is not empty, the controller can make an effective
 //!   decision" — §V);
 //! - per-rank occupancy counts, which the power-down path consults without
-//!   rescanning the queue every tick;
-//! - per-(μbank, row) match counts, which turn the scheduler's
-//!   hit-before-close conflict check from an O(queue) rescan per candidate
-//!   into a single map lookup.
+//!   rescanning the queue every tick.
 //!
 //! The queue also stamps each entry's flat μbank index
 //! ([`MemRequest::flat`]) on push, so per-tick scans never recompute
@@ -20,43 +19,52 @@
 
 use microbank_core::config::MemConfig;
 use microbank_core::request::MemRequest;
-use std::collections::HashMap;
 
 // Hot-loop hasher shared across the workspace (see `microbank_core::fxhash`
 // for why the swap from SipHash is behavior-identical here).
 pub use microbank_core::fxhash::{FxBuild, FxHasher};
 
-/// Bounded request queue with per-μbank, per-rank, and per-(μbank, row)
-/// occupancy tracking.
+/// What the scheduler's per-slot scan reads of one queued request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScanEntry {
+    /// Flat μbank index within the channel.
+    pub flat: u32,
+    pub row: u32,
+    pub rank: u8,
+    pub is_write: bool,
+    /// Part of the current PAR-BS batch (see
+    /// [`crate::scheduler::Scheduler::maybe_form_batch`]).
+    pub marked: bool,
+}
+
+/// Bounded request queue with a dense scan view, per-μbank and per-rank
+/// occupancy counts, and the PAR-BS batch marks.
 #[derive(Debug, Clone)]
 pub struct RequestQueue {
     entries: Vec<MemRequest>,
+    /// `scan[i]` describes `entries[i]`; both move together on remove.
+    scan: Vec<ScanEntry>,
     capacity: usize,
     /// Pending-request count per flat μbank index (channel-local).
     per_bank: Vec<u32>,
     /// Pending-request count per rank (for the power-down path).
     per_rank: Vec<u32>,
-    /// Pending-request count per (flat μbank, row): the scheduler's
-    /// "does any queued request still want this open row?" check.
-    row_match: HashMap<u64, u32, FxBuild>,
     /// Queued write (writeback) count, for write-drain watermarks.
     writes: usize,
-}
-
-#[inline]
-fn row_key(flat_ubank: usize, row: u32) -> u64 {
-    ((flat_ubank as u64) << 32) | row as u64
+    /// Queued entries carrying the batch mark.
+    marked: usize,
 }
 
 impl RequestQueue {
     pub fn new(cfg: &MemConfig) -> Self {
         RequestQueue {
             entries: Vec::with_capacity(cfg.queue_size),
+            scan: Vec::with_capacity(cfg.queue_size),
             capacity: cfg.queue_size,
             per_bank: vec![0; cfg.ubanks_per_channel()],
             per_rank: vec![0; cfg.ranks_per_channel],
-            row_match: HashMap::with_capacity_and_hasher(cfg.queue_size * 2, FxBuild::default()),
             writes: 0,
+            marked: 0,
         }
     }
 
@@ -83,7 +91,7 @@ impl RequestQueue {
 
     /// Try to enqueue; returns `false` (and drops nothing) when full. The
     /// request's `loc` must already be decoded and channel-local; its
-    /// cached flat index is stamped here.
+    /// cached flat index is stamped here. New entries are unmarked.
     pub fn push(&mut self, mut req: MemRequest, flat_ubank: usize) -> bool {
         if self.is_full() {
             return false;
@@ -91,11 +99,14 @@ impl RequestQueue {
         req.flat = flat_ubank as u32;
         self.per_bank[flat_ubank] += 1;
         self.per_rank[req.loc.rank as usize] += 1;
-        *self
-            .row_match
-            .entry(row_key(flat_ubank, req.loc.row))
-            .or_insert(0) += 1;
         self.writes += req.is_write() as usize;
+        self.scan.push(ScanEntry {
+            flat: req.flat,
+            row: req.loc.row,
+            rank: req.loc.rank,
+            is_write: req.is_write(),
+            marked: false,
+        });
         self.entries.push(req);
         true
     }
@@ -104,21 +115,11 @@ impl RequestQueue {
     /// arrival stamps by the scheduler, so storage order is free).
     pub fn remove(&mut self, idx: usize) -> MemRequest {
         let req = self.entries.swap_remove(idx);
-        let flat = req.flat as usize;
-        self.per_bank[flat] -= 1;
-        self.per_rank[req.loc.rank as usize] -= 1;
-        match self.row_match.entry(row_key(flat, req.loc.row)) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                *e.get_mut() -= 1;
-                if *e.get() == 0 {
-                    e.remove();
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(_) => {
-                debug_assert!(false, "row_match count missing on remove");
-            }
-        }
-        self.writes -= req.is_write() as usize;
+        let e = self.scan.swap_remove(idx);
+        self.per_bank[e.flat as usize] -= 1;
+        self.per_rank[e.rank as usize] -= 1;
+        self.writes -= e.is_write as usize;
+        self.marked -= e.marked as usize;
         req
     }
 
@@ -128,6 +129,29 @@ impl RequestQueue {
 
     pub fn get(&self, idx: usize) -> &MemRequest {
         &self.entries[idx]
+    }
+
+    /// The dense scan view, index-aligned with [`RequestQueue::get`].
+    pub fn scan(&self) -> &[ScanEntry] {
+        &self.scan
+    }
+
+    /// Put the entry at `idx` into the current batch.
+    pub fn mark(&mut self, idx: usize) {
+        debug_assert!(!self.scan[idx].marked, "entry {idx} marked twice");
+        self.scan[idx].marked = true;
+        self.marked += 1;
+    }
+
+    /// Is the entry at `idx` part of the current batch?
+    pub fn is_marked(&self, idx: usize) -> bool {
+        self.scan[idx].marked
+    }
+
+    /// Number of queued entries in the current batch: a batch is exhausted
+    /// when this reaches zero, since marks leave only with their entries.
+    pub fn marked_count(&self) -> usize {
+        self.marked
     }
 
     /// Flag the entry at `idx` as having consumed its one corrected-ECC
@@ -147,18 +171,13 @@ impl RequestQueue {
         self.per_rank[rank]
     }
 
-    /// Number of queued requests targeting `flat_ubank` with `row`
-    /// (incrementally maintained; O(1)).
-    pub fn row_match_count(&self, flat_ubank: usize, row: u32) -> u32 {
-        self.row_match
-            .get(&row_key(flat_ubank, row))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Does any queued request target `flat_ubank` with `row`?
+    /// Does any queued request target `flat_ubank` with `row`? A scan of
+    /// the queue; the demand scheduler derives the same answer for every
+    /// open row in its own pass.
     pub fn any_hit_for(&self, flat_ubank: usize, row: u32) -> bool {
-        self.row_match_count(flat_ubank, row) > 0
+        self.scan
+            .iter()
+            .any(|e| e.flat as usize == flat_ubank && e.row == row)
     }
 
     /// Indices of all entries, for scheduler scans.
@@ -242,27 +261,22 @@ mod tests {
     }
 
     #[test]
-    fn row_match_counts_accumulate_and_drain() {
+    fn marks_follow_their_entries_through_swap_remove() {
         let c = cfg();
         let mut q = RequestQueue::new(&c);
-        // Two requests to the same μbank row (consecutive lines share a
-        // row at row-granularity interleaving), one to a different bank.
-        let (r1, f1) = req(0, 0, &c);
-        let (r2, f2) = req(1, 64, &c);
-        let (r3, f3) = req(2, 0x4000, &c);
-        assert_eq!(f1, f2);
-        let row = r1.loc.row;
-        q.push(r1, f1);
-        q.push(r2, f2);
-        q.push(r3, f3);
-        assert_eq!(q.row_match_count(f1, row), 2);
-        assert_eq!(q.row_match_count(f3, row), 1);
-        let idx = q.indices().find(|&i| q.get(i).id == 0).unwrap();
-        q.remove(idx);
-        assert_eq!(q.row_match_count(f1, row), 1);
-        let idx = q.indices().find(|&i| q.get(i).id == 1).unwrap();
-        q.remove(idx);
-        assert_eq!(q.row_match_count(f1, row), 0);
-        assert!(!q.any_hit_for(f1, row));
+        for i in 0..3 {
+            let (r, f) = req(i, i * 64, &c);
+            q.push(r, f);
+        }
+        q.mark(0);
+        q.mark(2);
+        assert_eq!(q.marked_count(), 2);
+        // Removing entry 0 moves entry 2 (id 2, marked) into slot 0.
+        q.remove(0);
+        assert_eq!(q.get(0).id, 2);
+        assert!(q.is_marked(0) && !q.is_marked(1));
+        assert_eq!(q.marked_count(), 1);
+        q.remove(0);
+        assert_eq!(q.marked_count(), 0);
     }
 }

@@ -14,7 +14,7 @@ use crate::qos::{tenant_slot, MAX_TENANTS};
 use crate::queue::{FxBuild, RequestQueue};
 use microbank_core::request::TenantId;
 use microbank_core::Cycle;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Scheduling discipline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,6 +55,8 @@ pub struct Candidate {
     pub id: u64,
     pub thread: u16,
     pub arrival: Cycle,
+    /// Part of the current PAR-BS batch.
+    pub marked: bool,
     /// Owning tenant (always `TenantId(0)` outside multi-tenant runs);
     /// consulted only when a QoS priority table is installed.
     pub tenant: TenantId,
@@ -62,16 +64,13 @@ pub struct Candidate {
 
 /// Stateful scheduler (batch bookkeeping for PAR-BS).
 ///
-/// Invariant: `marked` is always a subset of the ids currently in the
-/// queue. Marks are created only from queue entries in
-/// [`Scheduler::maybe_form_batch`] and removed only via
-/// [`Scheduler::note_serviced`], which the controller calls exactly when it
-/// removes the entry from the queue. "Any queued request is still marked"
-/// is therefore equivalent to `!marked.is_empty()`, with no queue scan.
+/// The batch marks themselves are a per-entry flag in the
+/// [`RequestQueue`]: a mark is set only in [`Scheduler::maybe_form_batch`]
+/// and leaves the queue with its entry, so "any queued request is still
+/// marked" is the queue's marked count, with no queue scan.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     kind: SchedulerKind,
-    marked: HashSet<u64, FxBuild>,
     /// Shortest-job-first rank per thread in the current batch, indexed by
     /// thread (`u32::MAX` = unmarked). A `Vec`, not a map: `select` looks
     /// every candidate up on every controller tick.
@@ -95,7 +94,6 @@ impl Scheduler {
     pub fn new(kind: SchedulerKind) -> Self {
         Scheduler {
             kind,
-            marked: HashSet::default(),
             thread_rank: Vec::new(),
             batches_formed: 0,
             order: Vec::new(),
@@ -116,11 +114,6 @@ impl Scheduler {
         self.kind
     }
 
-    /// Is this request part of the current batch?
-    pub fn is_marked(&self, id: u64) -> bool {
-        self.marked.contains(&id)
-    }
-
     /// Shortest-job-first rank of `thread` in the current batch (lower is
     /// higher priority); unmarked threads rank last.
     pub fn rank_of(&self, thread: u16) -> u32 {
@@ -130,22 +123,17 @@ impl Scheduler {
             .unwrap_or(u32::MAX)
     }
 
-    /// Drop a serviced request from the batch.
-    pub fn note_serviced(&mut self, id: u64) {
-        self.marked.remove(&id);
-    }
-
     /// Form a new batch if the current one is exhausted (PAR-BS only).
     /// Uses each entry's cached flat μbank index ([`MemRequest::flat`],
     /// stamped by the queue on push).
     ///
     /// [`MemRequest::flat`]: microbank_core::request::MemRequest::flat
-    pub fn maybe_form_batch(&mut self, queue: &RequestQueue) {
+    pub fn maybe_form_batch(&mut self, queue: &mut RequestQueue) {
         let SchedulerKind::ParBs { marking_cap } = self.kind else {
             return;
         };
-        if !self.marked.is_empty() {
-            return; // batch still in flight (marked ⊆ queued, see invariant)
+        if queue.marked_count() > 0 {
+            return; // batch still in flight
         }
         self.thread_rank.fill(u32::MAX);
         if queue.is_empty() {
@@ -160,12 +148,12 @@ impl Scheduler {
         self.per_thread.clear();
         for &i in &self.order {
             let r = queue.get(i);
-            let pair = (r.thread, r.flat);
-            let n = self.per_pair.entry(pair).or_insert(0);
+            let (thread, flat) = (r.thread, r.flat);
+            let n = self.per_pair.entry((thread, flat)).or_insert(0);
             if *n < marking_cap {
                 *n += 1;
-                self.marked.insert(r.id);
-                *self.per_thread.entry(r.thread).or_insert(0) += 1;
+                queue.mark(i);
+                *self.per_thread.entry(thread).or_insert(0) += 1;
             }
         }
         // Shortest job first: fewest marked requests → rank 0. Sorted by a
@@ -192,10 +180,9 @@ impl Scheduler {
     /// hit; with no priority table installed it is a constant.
     pub fn select<'a>(&self, candidates: &'a [Candidate]) -> Option<&'a Candidate> {
         candidates.iter().min_by_key(|c| {
-            let marked = !self.is_marked(c.id); // false (0) sorts first
             let miss = c.action != Action::Column;
             (
-                marked,
+                !c.marked, // marked (false) sorts first
                 self.tenant_prio[tenant_slot(c.tenant)],
                 miss,
                 self.rank_of(c.thread),
@@ -235,6 +222,7 @@ mod tests {
                 id: 0,
                 thread: 0,
                 arrival: 0,
+                marked: false,
                 tenant: TenantId::default(),
             },
             Candidate {
@@ -243,6 +231,7 @@ mod tests {
                 id: 1,
                 thread: 0,
                 arrival: 10,
+                marked: false,
                 tenant: TenantId::default(),
             },
             Candidate {
@@ -251,6 +240,7 @@ mod tests {
                 id: 2,
                 thread: 1,
                 arrival: 5,
+                marked: false,
                 tenant: TenantId::default(),
             },
         ];
@@ -270,9 +260,10 @@ mod tests {
             push(&mut q, &c, i, 0, i * 64); // iB=13 → same row, same bank
         }
         let mut s = Scheduler::new(SchedulerKind::ParBs { marking_cap: 5 });
-        s.maybe_form_batch(&q);
-        let marked = q.iter().filter(|r| s.is_marked(r.id)).count();
+        s.maybe_form_batch(&mut q);
+        let marked = q.indices().filter(|&i| q.is_marked(i)).count();
         assert_eq!(marked, 5);
+        assert_eq!(q.marked_count(), 5);
         assert_eq!(s.batches_formed, 1);
     }
 
@@ -286,7 +277,7 @@ mod tests {
         }
         push(&mut q, &c, 99, 1, 5 << 20);
         let mut s = Scheduler::new(SchedulerKind::ParBs { marking_cap: 5 });
-        s.maybe_form_batch(&q);
+        s.maybe_form_batch(&mut q);
         assert!(s.rank_of(1) < s.rank_of(0), "shortest job first");
     }
 
@@ -296,19 +287,19 @@ mod tests {
         let mut q = RequestQueue::new(&c);
         push(&mut q, &c, 1, 0, 0);
         let mut s = Scheduler::new(SchedulerKind::ParBs { marking_cap: 5 });
-        s.maybe_form_batch(&q);
-        assert!(s.is_marked(1));
+        s.maybe_form_batch(&mut q);
+        assert!(q.is_marked(0));
         // New arrivals do not join the in-flight batch.
         push(&mut q, &c, 2, 1, 1 << 20);
-        s.maybe_form_batch(&q);
-        assert!(!s.is_marked(2));
+        s.maybe_form_batch(&mut q);
+        assert!(!q.is_marked(1));
         assert_eq!(s.batches_formed, 1);
-        // Drain the batch; next call forms a fresh one including id 2.
-        let idx = q.indices().find(|&i| q.get(i).id == 1).unwrap();
-        q.remove(idx);
-        s.note_serviced(1);
-        s.maybe_form_batch(&q);
-        assert!(s.is_marked(2));
+        // Drain the batch (its mark leaves with the entry); the next call
+        // forms a fresh one including id 2.
+        q.remove(0);
+        assert_eq!((q.get(0).id, q.marked_count()), (2, 0));
+        s.maybe_form_batch(&mut q);
+        assert!(q.is_marked(0));
         assert_eq!(s.batches_formed, 2);
     }
 
@@ -318,7 +309,7 @@ mod tests {
         let mut q = RequestQueue::new(&c);
         push(&mut q, &c, 1, 0, 0);
         let mut s = Scheduler::new(SchedulerKind::ParBs { marking_cap: 5 });
-        s.maybe_form_batch(&q);
+        s.maybe_form_batch(&mut q);
         let cands = [
             // Unmarked row hit (arrived after the batch formed)…
             Candidate {
@@ -327,6 +318,7 @@ mod tests {
                 id: 42,
                 thread: 3,
                 arrival: 100,
+                marked: false,
                 tenant: TenantId::default(),
             },
             // …vs a marked activate.
@@ -336,6 +328,7 @@ mod tests {
                 id: 1,
                 thread: 0,
                 arrival: 0,
+                marked: q.is_marked(0),
                 tenant: TenantId::default(),
             },
         ];
@@ -348,8 +341,8 @@ mod tests {
         let mut q = RequestQueue::new(&c);
         push(&mut q, &c, 1, 0, 0);
         let mut s = Scheduler::new(SchedulerKind::FrFcfs);
-        s.maybe_form_batch(&q);
-        assert!(!s.is_marked(1));
+        s.maybe_form_batch(&mut q);
+        assert!(!q.is_marked(0));
         assert_eq!(s.batches_formed, 0);
     }
 }

@@ -1,73 +1,67 @@
-//! Property tests for the request queue's incrementally-maintained
-//! indexes: under arbitrary interleavings of pushes and removals, the
-//! per-(μbank, row) match counts, per-μbank counts, per-rank counts, and
-//! write counter must always agree with a naive rescan of the queue
-//! contents. The scheduler's hit-before-close conflict check trusts these
-//! counts instead of rescanning, so any drift here silently changes
-//! scheduling decisions.
+//! Property tests for the request queue's incrementally-maintained state:
+//! under arbitrary interleavings of pushes, swap-removes and batch marks,
+//! the per-μbank counts, per-rank counts, write counter, per-entry batch
+//! marks, marked count and the dense scan view must always agree with a
+//! naive rescan of the queue contents (and, for marks, with a model kept
+//! beside the queue). The scheduler trusts these instead of rescanning, so
+//! any drift here silently changes scheduling decisions.
 
 use microbank_core::address::AddressMap;
 use microbank_core::config::MemConfig;
 use microbank_core::request::{MemRequest, ReqKind};
-use microbank_ctrl::queue::RequestQueue;
+use microbank_ctrl::queue::{RequestQueue, ScanEntry};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn cfg() -> MemConfig {
     MemConfig::lpddr_tsi().with_ubanks(4, 4).with_queue_size(16)
 }
 
-/// Naive recomputation of every index from the queue's entries.
-fn rescan(q: &RequestQueue, cfg: &MemConfig) -> Naive {
-    let mut n = Naive {
-        per_bank: vec![0; cfg.ubanks_per_channel()],
-        per_rank: vec![0; cfg.ranks_per_channel],
-        row_match: std::collections::BTreeMap::new(),
-        writes: 0,
-    };
+/// Check every piece of queue state against a rescan of its entries;
+/// `marked` holds the ids the test has marked and not yet removed.
+fn check_agreement(q: &RequestQueue, cfg: &MemConfig, marked: &BTreeSet<u64>) {
+    let mut per_bank = vec![0u32; cfg.ubanks_per_channel()];
+    let mut per_rank = vec![0u32; cfg.ranks_per_channel];
+    let mut writes = 0;
     for r in q.iter() {
-        let flat = r.flat as usize;
-        n.per_bank[flat] += 1;
-        n.per_rank[r.loc.rank as usize] += 1;
-        *n.row_match.entry((flat, r.loc.row)).or_insert(0u32) += 1;
-        n.writes += r.is_write() as usize;
+        per_bank[r.flat as usize] += 1;
+        per_rank[r.loc.rank as usize] += 1;
+        writes += r.is_write() as usize;
     }
-    n
-}
-
-struct Naive {
-    per_bank: Vec<u32>,
-    per_rank: Vec<u32>,
-    row_match: std::collections::BTreeMap<(usize, u32), u32>,
-    writes: usize,
-}
-
-fn check_agreement(q: &RequestQueue, cfg: &MemConfig) {
-    let naive = rescan(q, cfg);
-    for (flat, &want) in naive.per_bank.iter().enumerate() {
+    for (flat, &want) in per_bank.iter().enumerate() {
         assert_eq!(q.pending_for_bank(flat), want, "per-bank[{flat}]");
     }
-    for (rank, &want) in naive.per_rank.iter().enumerate() {
+    for (rank, &want) in per_rank.iter().enumerate() {
         assert_eq!(q.pending_for_rank(rank), want, "per-rank[{rank}]");
     }
-    assert_eq!(q.writes_queued(), naive.writes, "write count");
-    // Every (μbank, row) pair present in the queue must match its count…
-    for (&(flat, row), &want) in &naive.row_match {
-        assert_eq!(
-            q.row_match_count(flat, row),
-            want,
-            "row_match[{flat},{row}]"
-        );
-        assert!(q.any_hit_for(flat, row));
+    assert_eq!(q.writes_queued(), writes, "write count");
+
+    // The scan view is index-aligned with the records and carries each
+    // entry's own mark.
+    assert_eq!(q.scan().len(), q.len());
+    for i in q.indices() {
+        let r = q.get(i);
+        let want = ScanEntry {
+            flat: r.flat,
+            row: r.loc.row,
+            rank: r.loc.rank,
+            is_write: r.is_write(),
+            marked: marked.contains(&r.id),
+        };
+        assert_eq!(q.scan()[i], want, "scan[{i}] (id {})", r.id);
+        assert_eq!(q.is_marked(i), want.marked, "mark[{i}]");
     }
-    // …and pairs absent from the queue must report zero (the map entry is
-    // removed, not left at a stale value).
+    let flagged = q.indices().filter(|&i| q.is_marked(i)).count();
+    assert_eq!(q.marked_count(), flagged, "marked count vs flags");
+    assert_eq!(q.marked_count(), marked.len(), "marked count vs model");
+
+    // The scrubber's hit check against the records.
     for r in q.iter() {
         let flat = r.flat as usize;
-        let absent_row = r.loc.row.wrapping_add(1);
-        if !naive.row_match.contains_key(&(flat, absent_row)) {
-            assert_eq!(q.row_match_count(flat, absent_row), 0);
-            assert!(!q.any_hit_for(flat, absent_row));
-        }
+        assert!(q.any_hit_for(flat, r.loc.row));
+        let other = r.loc.row.wrapping_add(1);
+        let want = q.iter().any(|s| s.flat == r.flat && s.loc.row == other);
+        assert_eq!(q.any_hit_for(flat, other), want);
     }
 }
 
@@ -76,19 +70,26 @@ proptest! {
     #[test]
     fn incremental_indexes_match_naive_rescan(
         // Each op: address (line-aligned by masking), write flag, and a
-        // removal selector consumed when the op is a removal.
+        // selector choosing push, removal or mark and the entry it hits.
         ops in prop::collection::vec((0u64..(1 << 26), any::<bool>(), any::<u8>()), 1..200),
     ) {
         let c = cfg();
         let map = AddressMap::new(&c);
         let mut q = RequestQueue::new(&c);
+        let mut marked = BTreeSet::new();
         let mut next_id = 0u64;
         for (raw, is_write, sel) in ops {
-            // Mixed workload: mostly pushes, removals once the queue has
-            // entries (sel odd → removal).
-            if sel % 2 == 1 && !q.is_empty() {
-                let idx = (sel as usize / 2) % q.len();
-                q.remove(idx);
+            // Mixed workload: pushes, removals and marks once the queue
+            // has entries (sel % 3: 1 → removal, 2 → mark).
+            let pick = (sel as usize / 3) % q.len().max(1);
+            if sel % 3 == 1 && !q.is_empty() {
+                let id = q.remove(pick).id;
+                marked.remove(&id);
+            } else if sel % 3 == 2 && !q.is_empty() {
+                if !q.is_marked(pick) {
+                    q.mark(pick);
+                    marked.insert(q.get(pick).id);
+                }
             } else if !q.is_full() {
                 let addr = raw & !63;
                 let kind = if is_write { ReqKind::Write } else { ReqKind::Read };
@@ -98,13 +99,15 @@ proptest! {
                 let flat = r.loc.ubank_flat(&c);
                 prop_assert!(q.push(r, flat));
             }
-            check_agreement(&q, &c);
+            check_agreement(&q, &c, &marked);
         }
         // Drain fully: counts must return to zero everywhere.
         while !q.is_empty() {
-            q.remove(0);
-            check_agreement(&q, &c);
+            let id = q.remove(0).id;
+            marked.remove(&id);
+            check_agreement(&q, &c, &marked);
         }
         prop_assert_eq!(q.writes_queued(), 0);
+        prop_assert_eq!(q.marked_count(), 0);
     }
 }
