@@ -91,7 +91,6 @@ pub const CACHE_LINE_BITS: u32 = 6;
 pub mod prelude {
     //! Convenient glob import for downstream crates.
     pub use crate::address::{AddressMap, Location};
-    pub use crate::bank::MicrobankState;
     pub use crate::channel::Channel;
     pub use crate::config::{Interface, MemConfig};
     pub use crate::geometry::{DeviceGeometry, UbankConfig};
