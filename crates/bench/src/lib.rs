@@ -1,9 +1,10 @@
 //! # microbank-bench
 //!
 //! Shared plumbing for the paper-reproduction harness binaries (`fig*`,
-//! `table*`, `headline`) and the Criterion micro/macro benchmarks. The
-//! heavy lifting lives in `microbank-sim`; this crate holds output
-//! formatting helpers shared by the binaries.
+//! `table*`, `headline`) and the performance/regression gates
+//! (`bench_hotpath`, `bench_variants`, `bench_qos`). The heavy lifting
+//! lives in `microbank-sim`; this crate holds output formatting helpers
+//! shared by the binaries.
 
 /// Format a 5×5 (nW, nB) matrix the way the paper's heatmap figures print:
 /// rows are `nB` ∈ {1,2,4,8,16} (top = 1), columns `nW` ∈ {1,2,4,8,16}.
@@ -27,15 +28,6 @@ pub fn format_matrix(title: &str, m: &[Vec<f64>]) -> String {
     out
 }
 
-/// Format a labelled series as `label: v1 v2 v3 …`.
-pub fn format_series(label: &str, values: &[f64]) -> String {
-    let mut out = format!("{label:<24}");
-    for v in values {
-        out.push_str(&format!("{v:>9.3}"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
@@ -46,12 +38,5 @@ mod tests {
         let s = super::format_matrix("t", &m);
         assert!(s.contains("24.000"));
         assert_eq!(s.lines().count(), 7);
-    }
-
-    #[test]
-    fn series_formatting() {
-        let s = super::format_series("spec-high", &[1.0, 1.5]);
-        assert!(s.starts_with("spec-high"));
-        assert!(s.contains("1.500"));
     }
 }

@@ -152,16 +152,6 @@ impl MemConfig {
         self
     }
 
-    /// Builder: adopt a named bank organization from the literature
-    /// (SALP, Half-DRAM, …) — see [`crate::organization::Organization`].
-    /// This legacy axis expresses designs as μbank *geometry* only (the
-    /// variant stays `Microbank`); use [`MemConfig::with_variant`] for the
-    /// timing-faithful issue rules.
-    pub fn with_organization(self, org: crate::organization::Organization) -> Self {
-        let u = org.ubank_config();
-        self.with_ubanks(u.n_w, u.n_b)
-    }
-
     /// Builder: select a device variant and derive the μbank geometry it
     /// imposes ([`DeviceVariant::effective_ubank`]), keeping row-granular
     /// interleaving consistent with the new row size. For

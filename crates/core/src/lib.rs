@@ -16,8 +16,6 @@
 //! * [`timing`] — nanosecond timing parameters (paper Table I) and their
 //!   CPU-cycle derivations for the three processor–memory interfaces.
 //! * [`geometry`] — mats, subarrays, banks and the μbank partitioning math.
-//! * [`organization`] — the literature's bank organizations (SALP,
-//!   Half-DRAM) expressed as μbank geometries (paper §VII).
 //! * [`config`] — whole-memory-system configuration presets.
 //! * [`validate`] — the configuration validation ladder.
 //! * [`address`] — physical-address ↔ device-coordinate mapping with the
@@ -29,7 +27,8 @@
 //!   refresh bookkeeping, and the `can_*`/command pairs a controller
 //!   issues through, keyed by flat μbank index.
 //! * [`variant`] — the device-variant seam: μbank vs conventional vs SALP
-//!   vs Sectored DRAM issue rules, energy granularity, and geometry.
+//!   vs Sectored DRAM issue rules, energy granularity, and geometry (the
+//!   paper's §VII related-work designs live here).
 //! * [`request`] — the memory-request type exchanged between the CPU model,
 //!   the controller, and the device model.
 //! * [`stats`] — event counters used by the energy model.
@@ -65,7 +64,6 @@ pub mod config;
 pub mod fxhash;
 pub mod geometry;
 pub mod hist;
-pub mod organization;
 pub mod request;
 pub mod stats;
 pub mod timing;
@@ -95,7 +93,6 @@ pub mod prelude {
     pub use crate::config::{Interface, MemConfig};
     pub use crate::geometry::{DeviceGeometry, UbankConfig};
     pub use crate::hist::Histogram;
-    pub use crate::organization::Organization;
     pub use crate::request::{MemRequest, ReqKind, TenantId};
     pub use crate::stats::DramStats;
     pub use crate::timing::{TimingParams, Timings};

@@ -28,6 +28,9 @@ pub struct Completion {
     /// Cycle the data transfer finished (reads) or data was latched
     /// (writes). NoC return latency is added by the CPU side.
     pub at: Cycle,
+    /// Cycle the controller accepted the request (its `arrival` stamp) —
+    /// the start of the read latency the drive loop measures.
+    pub arrival: Cycle,
     pub is_write: bool,
     pub thread: u16,
     /// Owning tenant (carried from the request) — lets the drive loops
@@ -52,8 +55,6 @@ pub struct CtrlStats {
     /// including static open/close treated as constant predictors (the
     /// Fig. 13 "prediction hit rate" series).
     pub policy_stats: PredictorStats,
-    /// Scheduling rounds in which write-drain mode constrained selection.
-    pub drain_selections: u64,
     /// Queue-occupancy distribution sampled every tick. §V's argument is
     /// exactly about this distribution: μbanks spread requests over more
     /// banks and drain queues faster, starving conventional policies of
@@ -79,26 +80,6 @@ struct PendingDecision {
     thread: u16,
 }
 
-/// Write-drain watermarks: when the number of queued writes reaches `hi`,
-/// the controller prioritizes writes until it falls to `lo`. Batching
-/// writes amortizes the read↔write bus turnaround (tWTR) that fine-grained
-/// interleaving pays on every switch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WriteDrain {
-    pub hi: usize,
-    pub lo: usize,
-}
-
-impl WriteDrain {
-    /// Watermarks scaled to the paper's 32-entry queue.
-    pub fn default_for_queue(queue_size: usize) -> Self {
-        WriteDrain {
-            hi: (queue_size * 3) / 4,
-            lo: queue_size / 4,
-        }
-    }
-}
-
 /// One memory controller + its channel.
 pub struct MemoryController {
     pub cfg: MemConfig,
@@ -107,10 +88,6 @@ pub struct MemoryController {
     queue: RequestQueue,
     scheduler: Scheduler,
     policy: Policy,
-    /// Optional write-drain watermark mode.
-    write_drain: Option<WriteDrain>,
-    /// Currently draining writes.
-    draining_writes: bool,
     /// Per-μbank pending speculative decision.
     pending: Vec<Option<PendingDecision>>,
     /// Per-μbank page-policy close deadline (`Cycle::MAX` = none): a close
@@ -166,8 +143,6 @@ impl MemoryController {
             queue: RequestQueue::new(cfg),
             scheduler: Scheduler::new(scheduler),
             policy: Policy::new(policy, n, threads),
-            write_drain: None,
-            draining_writes: false,
             pending: vec![None; n],
             close_deadline: vec![Cycle::MAX; n],
             pre_due: BTreeSet::new(),
@@ -236,13 +211,6 @@ impl MemoryController {
                 queue_len: self.queue.len() as u16,
             });
         }
-    }
-
-    /// Enable write-drain watermark scheduling (see [`WriteDrain`]).
-    pub fn with_write_drain(mut self, wd: WriteDrain) -> Self {
-        assert!(wd.lo < wd.hi && wd.hi <= self.queue.capacity());
-        self.write_drain = Some(wd);
-        self
     }
 
     /// The controller's address map (shared decode logic).
@@ -508,23 +476,6 @@ impl MemoryController {
         self.scratch.retain(
             |c| !matches!(c.action, Action::Precharge(v) if hit_epoch[v as usize] == epoch),
         );
-        // Write-drain watermark mode: batch writes to amortize tWTR.
-        if let Some(wd) = self.write_drain {
-            let writes = self.queue.writes_queued();
-            if writes >= wd.hi {
-                self.draining_writes = true;
-            } else if writes <= wd.lo {
-                self.draining_writes = false;
-            }
-            if self.draining_writes {
-                let scan = self.queue.scan();
-                let has_write_candidate = self.scratch.iter().any(|c| scan[c.idx].is_write);
-                if has_write_candidate {
-                    self.scratch.retain(|c| scan[c.idx].is_write);
-                    self.stats.drain_selections += 1;
-                }
-            }
-        }
         // QoS bandwidth regulation: candidates whose tenant's bucket is
         // empty are withheld from this round. If that would leave the
         // channel idle while demand is eligible and the configuration is
@@ -613,6 +564,7 @@ impl MemoryController {
                 self.completions.push(Completion {
                     id: r.id,
                     at: done,
+                    arrival: r.arrival,
                     is_write: r.is_write(),
                     thread: r.thread,
                     tenant: r.tenant,
@@ -1113,6 +1065,59 @@ mod tests {
         assert_eq!(c.stats.rejected, 1);
     }
 
+    /// Offer reads `0..n` one per cycle at `addr(id)`, re-offering a
+    /// rejected read every cycle until the queue accepts it. Returns every
+    /// completion with the cycle its read was accepted.
+    fn drive_with_backlog(
+        c: &mut MemoryController,
+        n: u64,
+        addr: impl Fn(u64) -> u64,
+    ) -> Vec<(Completion, Cycle)> {
+        let mut accepted_at = std::collections::HashMap::new();
+        let mut done = Vec::new();
+        let mut next = 0u64;
+        let mut now = 0;
+        while done.len() < n as usize && now < 10_000_000 {
+            if next < n && c.enqueue(mkreq(c, next, addr(next), ReqKind::Read, 0), now) {
+                accepted_at.insert(next, now);
+                next += 1;
+            }
+            c.tick(now);
+            c.take_completions(&mut done);
+            now += 1;
+        }
+        assert_eq!(done.len(), n as usize, "all reads complete");
+        done.into_iter().map(|d| (d, accepted_at[&d.id])).collect()
+    }
+
+    #[test]
+    fn completion_arrival_is_the_accepted_enqueue_after_rejections() {
+        // Row-conflicting reads into one bank back the 2-entry queue up,
+        // so most reads are rejected at least once before acceptance.
+        let cf = cfg(1, 1).with_queue_size(2);
+        let mut c = ctrl(&cf, PolicyKind::Open);
+        let done = drive_with_backlog(&mut c, 16, |i| i << 20);
+        assert!(c.stats.rejected > 0, "the queue never filled");
+        for (d, accepted) in done {
+            assert_eq!(d.arrival, accepted, "read {}", d.id);
+        }
+    }
+
+    #[test]
+    fn completion_arrival_survives_an_ecc_demand_retry() {
+        // The stress fault map's corrected errors send reads through a
+        // demand retry; the retried read keeps its original arrival.
+        let cf = cfg(4, 4).with_queue_size(4);
+        let mut c = ctrl(&cf, PolicyKind::Open);
+        c.enable_faults(&FaultConfig::stress(7), 0);
+        let done = drive_with_backlog(&mut c, 2_000, |i| i.wrapping_mul(0x9E37_79B9) << 6);
+        let retries = c.faults.as_ref().unwrap().summary.retries;
+        assert!(retries > 0, "no read took an ECC demand retry");
+        for (d, accepted) in done {
+            assert_eq!(d.arrival, accepted, "read {}", d.id);
+        }
+    }
+
     #[test]
     fn writes_complete_and_count() {
         let cf = cfg(2, 2);
@@ -1214,86 +1219,6 @@ mod tests {
             "{} ACTs",
             c.channel.stats.activates
         );
-    }
-
-    #[test]
-    fn write_drain_batches_writes() {
-        // Interleaved reads and writes to different banks: with watermarks
-        // the controller services writes in bursts, reducing read/write
-        // alternation on the data bus.
-        let count_alternations = |use_drain: bool| -> (usize, Cycle) {
-            let cf = cfg(2, 2).with_queue_size(16);
-            let mut c = ctrl(&cf, PolicyKind::Open);
-            if use_drain {
-                c = c.with_write_drain(WriteDrain { hi: 8, lo: 2 });
-            }
-            let mut done: Vec<Completion> = Vec::new();
-            let mut order: Vec<bool> = Vec::new();
-            let mut next = 0u64;
-            let mut now = 0;
-            while done.len() < 64 && now < 200_000 {
-                while next < 64 && c.free_slots() > 0 {
-                    let kind = if next.is_multiple_of(2) {
-                        ReqKind::Read
-                    } else {
-                        ReqKind::Write
-                    };
-                    // One open row: every request is a column candidate, so
-                    // ordering is purely the scheduler/drain's choice.
-                    c.enqueue(mkreq(&c, next, (next % 32) * 64, kind, 0), now);
-                    next += 1;
-                }
-                c.tick(now);
-                let before = done.len();
-                c.take_completions(&mut done);
-                for d in &done[before..] {
-                    order.push(d.is_write);
-                }
-                now += 1;
-            }
-            assert_eq!(done.len(), 64);
-            let alternations = order.windows(2).filter(|w| w[0] != w[1]).count();
-            (alternations, now)
-        };
-        let (alt_plain, _) = count_alternations(false);
-        let (alt_drain, _) = count_alternations(true);
-        // tWTR already induces natural batching; drain mode must never be
-        // worse, and must actually engage (checked below via stats).
-        assert!(
-            alt_drain <= alt_plain,
-            "draining made alternation worse: {alt_drain} vs {alt_plain}"
-        );
-        // Engagement check on a fresh controller with a deep write burst.
-        let cf = cfg(1, 1).with_queue_size(16);
-        let mut c = ctrl(&cf, PolicyKind::Open).with_write_drain(WriteDrain { hi: 8, lo: 2 });
-        for i in 0..12u64 {
-            c.enqueue(mkreq(&c, i, (i % 32) * 64, ReqKind::Write, 0), 0);
-        }
-        for now in 0..20_000 {
-            c.tick(now);
-        }
-        assert!(c.stats.drain_selections > 0, "drain mode never engaged");
-    }
-
-    #[test]
-    fn write_drain_preserves_completion_set() {
-        let cf = cfg(1, 1).with_queue_size(8);
-        let mut c = ctrl(&cf, PolicyKind::Open).with_write_drain(WriteDrain { hi: 4, lo: 1 });
-        let mut done = Vec::new();
-        for i in 0..8u64 {
-            let kind = if i < 4 { ReqKind::Write } else { ReqKind::Read };
-            c.enqueue(mkreq(&c, i, i << 16, kind, 0), 0);
-        }
-        for now in 0..100_000 {
-            c.tick(now);
-            c.take_completions(&mut done);
-            if done.len() == 8 {
-                break;
-            }
-        }
-        assert_eq!(done.len(), 8, "all requests complete under drain mode");
-        let ids: std::collections::HashSet<u64> = done.iter().map(|d| d.id).collect();
-        assert_eq!(ids.len(), 8);
     }
 
     #[test]

@@ -49,8 +49,6 @@ pub struct RequestQueue {
     per_bank: Vec<u32>,
     /// Pending-request count per rank (for the power-down path).
     per_rank: Vec<u32>,
-    /// Queued write (writeback) count, for write-drain watermarks.
-    writes: usize,
     /// Queued entries carrying the batch mark.
     marked: usize,
 }
@@ -63,14 +61,8 @@ impl RequestQueue {
             capacity: cfg.queue_size,
             per_bank: vec![0; cfg.ubanks_per_channel()],
             per_rank: vec![0; cfg.ranks_per_channel],
-            writes: 0,
             marked: 0,
         }
-    }
-
-    /// Number of queued writes.
-    pub fn writes_queued(&self) -> usize {
-        self.writes
     }
 
     pub fn len(&self) -> usize {
@@ -99,7 +91,6 @@ impl RequestQueue {
         req.flat = flat_ubank as u32;
         self.per_bank[flat_ubank] += 1;
         self.per_rank[req.loc.rank as usize] += 1;
-        self.writes += req.is_write() as usize;
         self.scan.push(ScanEntry {
             flat: req.flat,
             row: req.loc.row,
@@ -118,7 +109,6 @@ impl RequestQueue {
         let e = self.scan.swap_remove(idx);
         self.per_bank[e.flat as usize] -= 1;
         self.per_rank[e.rank as usize] -= 1;
-        self.writes -= e.is_write as usize;
         self.marked -= e.marked as usize;
         req
     }

@@ -14,7 +14,7 @@ use microbank_core::request::{MemRequest, ReqKind, TenantId};
 use microbank_core::stats::DramStats;
 use microbank_core::Cycle;
 use microbank_ctrl::{
-    Completion, MemoryController, PolicyKind, PredictorKind, QosConfig, SchedulerKind, WriteDrain,
+    Completion, MemoryController, PolicyKind, PredictorKind, QosConfig, SchedulerKind,
 };
 use microbank_faults::FaultConfig;
 use proptest::prelude::*;
@@ -52,8 +52,7 @@ impl Setup {
         } else {
             SchedulerKind::FrFcfs
         };
-        let mut c = MemoryController::new(&cfg, sched, self.policy, 4)
-            .with_write_drain(WriteDrain::default_for_queue(8));
+        let mut c = MemoryController::new(&cfg, sched, self.policy, 4);
         if self.scrub {
             // Every fault mode plus a patrol scrub that comes due inside
             // the idle gaps between bursts.
@@ -160,7 +159,7 @@ fn drive_idle_wake(
 
 /// Bursty traffic with idle gaps longer than the scrub interval and the
 /// minimalist close window: row hits, same-μbank conflicts, both tenants,
-/// and enough writes to trip the drain watermark.
+/// and reads mixed with writes.
 fn bursts(c: &MemoryController) -> Vec<(Cycle, MemRequest)> {
     let mut arrivals = Vec::new();
     let mut id = 0;

@@ -300,25 +300,6 @@ pub fn interface_study(workloads: &[Workload], quick: bool) -> Vec<InterfaceRow>
     rows
 }
 
-/// Related-work comparison (§VII): the same workload on the named bank
-/// organizations — conventional, SALP (bitline-only partitioning),
-/// Half-DRAM (2×2 point), and μbank — all on the LPDDR-TSI substrate.
-/// Returns `(label, result)` pairs; index 0 is the conventional baseline.
-pub fn organization_comparison(workload: Workload, quick: bool) -> Vec<(String, SimResult)> {
-    use microbank_core::organization::Organization;
-    let orgs = Organization::comparison_set();
-    let cfgs: Vec<SimConfig> = orgs
-        .iter()
-        .map(|o| {
-            let mut c = base_cfg(workload, quick);
-            c.mem = c.mem.with_organization(*o);
-            c
-        })
-        .collect();
-    let results = run_many(&cfgs);
-    orgs.iter().map(|o| o.label()).zip(results).collect()
-}
-
 /// The §I headline pair: (DDR3-PCB baseline, μbank LPDDR-TSI proposed).
 /// Shared between [`headline`] and the `headline` harness binary so the
 /// sweep-runner path runs exactly the same configurations.

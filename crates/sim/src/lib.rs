@@ -30,9 +30,9 @@ pub mod sweep;
 
 pub use error::{CancelKind, SimError};
 pub use experiment::{
-    base_cfg, headline, interface_study, interleave_policy_study, organization_comparison,
-    predictor_study, representative_study, ubank_grid, GridResult, InterfaceRow, InterleaveRow,
-    PredictorRow, RepresentativeRow, DEGREES, REPRESENTATIVE,
+    base_cfg, headline, interface_study, interleave_policy_study, predictor_study,
+    representative_study, ubank_grid, GridResult, InterfaceRow, InterleaveRow, PredictorRow,
+    RepresentativeRow, DEGREES, REPRESENTATIVE,
 };
 pub use report::{summarize, summary_columns, Table};
 pub use service::{JobState, ServiceConfig, SweepService};

@@ -673,60 +673,6 @@ impl SimResult {
     }
 }
 
-/// Enqueue-time store for latency accounting. Request ids come from one
-/// monotone counter, so instead of hashing each id into a map, slot `id`
-/// lives at `id - base` in a dense ring. Backlogged requests can enqueue
-/// out of order (they keep their id across retries), so `base` advances
-/// only past slots whose request has *completed* — an empty slot may still
-/// be claimed later.
-struct EnqueueSlab {
-    base: u64,
-    slots: std::collections::VecDeque<Cycle>,
-}
-
-/// Slot never filled (id not yet enqueued, or a request class the caller
-/// doesn't track).
-const SLOT_EMPTY: Cycle = Cycle::MAX;
-/// Slot filled and consumed; safe for `base` to advance past.
-const SLOT_CONSUMED: Cycle = Cycle::MAX - 1;
-
-impl EnqueueSlab {
-    fn new() -> Self {
-        EnqueueSlab {
-            base: 0,
-            slots: std::collections::VecDeque::new(),
-        }
-    }
-
-    fn insert(&mut self, id: u64, at: Cycle) {
-        debug_assert!(at < SLOT_CONSUMED);
-        if self.slots.is_empty() {
-            self.base = id;
-        }
-        debug_assert!(id >= self.base, "slab advanced past a live id");
-        let Some(idx) = id.checked_sub(self.base) else {
-            return;
-        };
-        if idx as usize >= self.slots.len() {
-            self.slots.resize(idx as usize + 1, SLOT_EMPTY);
-        }
-        self.slots[idx as usize] = at;
-    }
-
-    /// Consume `id`'s recorded cycle (None if never inserted).
-    fn remove(&mut self, id: u64) -> Option<Cycle> {
-        let idx = id.checked_sub(self.base)? as usize;
-        let slot = self.slots.get_mut(idx)?;
-        let out = (*slot < SLOT_CONSUMED).then_some(*slot);
-        *slot = SLOT_CONSUMED;
-        while self.slots.front() == Some(&SLOT_CONSUMED) {
-            self.slots.pop_front();
-            self.base += 1;
-        }
-        out
-    }
-}
-
 #[derive(PartialEq, Eq)]
 struct Delivery {
     at: Cycle,
@@ -1137,8 +1083,6 @@ fn drive<S: microbank_cpu::instr::InstrSource>(
     let mut dram_at_warmup = DramStats::default();
     let mut heat_at_warmup: Vec<HeatCounters> = Vec::new();
 
-    // Enqueue-time records for latency measurement (id → enqueue cycle).
-    let mut enqueue_time = EnqueueSlab::new();
     let mut read_lat_samples: u64 = 0;
 
     // Idle wake: `ctrl_wake[i]` is the first cycle at which controller
@@ -1219,33 +1163,26 @@ fn drive<S: microbank_cpu::instr::InstrSource>(
                     now + 1
                 };
             }
-            for comp in completions.drain(..) {
-                if comp.is_write {
-                    // Consume the slot so the slab's base can advance.
-                    enqueue_time.remove(comp.id);
-                } else {
-                    if let Some(t0) = enqueue_time.remove(comp.id) {
-                        if now >= cfg.warmup_cycles {
-                            // A read enqueued during warmup but completed in
-                            // the window counts only its in-window portion;
-                            // latency accrued before measurement began is a
-                            // warmup artifact, not window behavior.
-                            let t0 = t0.max(cfg.warmup_cycles);
-                            let lat = comp.at.saturating_sub(t0);
-                            read_latency_acc += lat;
-                            read_latency_hist.record(lat);
-                            read_lat_samples += 1;
-                            if qos_nt > 0 {
-                                let t = tenant_slot(comp.tenant).min(qos_nt - 1);
-                                tenant_hists[t].record(lat);
-                            }
-                        }
+            for comp in completions.drain(..).filter(|c| !c.is_write) {
+                if now >= cfg.warmup_cycles {
+                    // A read enqueued during warmup but completed in the
+                    // window counts only its in-window portion; latency
+                    // accrued before measurement began is a warmup
+                    // artifact, not window behavior.
+                    let t0 = comp.arrival.max(cfg.warmup_cycles);
+                    let lat = comp.at.saturating_sub(t0);
+                    read_latency_acc += lat;
+                    read_latency_hist.record(lat);
+                    read_lat_samples += 1;
+                    if qos_nt > 0 {
+                        let t = tenant_slot(comp.tenant).min(qos_nt - 1);
+                        tenant_hists[t].record(lat);
                     }
-                    deliveries.push(Delivery {
-                        at: comp.at.max(now) + noc,
-                        id: comp.id,
-                    });
                 }
+                deliveries.push(Delivery {
+                    at: comp.at.max(now) + noc,
+                    id: comp.id,
+                });
             }
             if let Some(t0) = t0 {
                 ctrl_ns += t0.elapsed().as_nanos() as u64;
@@ -1257,7 +1194,6 @@ fn drive<S: microbank_cpu::instr::InstrSource>(
             let d = deliveries.pop().unwrap();
             let mut router = TrackingRouter {
                 ctrls: &mut ctrls,
-                enqueue_time: &mut enqueue_time,
                 ctrl_wake: &mut ctrl_wake,
                 ctrl_skipped: &mut ctrl_skipped,
             };
@@ -1266,7 +1202,6 @@ fn drive<S: microbank_cpu::instr::InstrSource>(
         // Advance the cores.
         let mut router = TrackingRouter {
             ctrls: &mut ctrls,
-            enqueue_time: &mut enqueue_time,
             ctrl_wake: &mut ctrl_wake,
             ctrl_skipped: &mut ctrl_skipped,
         };
@@ -1377,11 +1312,9 @@ pub fn golden_fingerprint(r: &SimResult) -> [u64; 13] {
     ]
 }
 
-/// Router that also records enqueue times for read-latency accounting and
-/// wakes sleeping controllers on arrival.
+/// Router that also wakes sleeping controllers on arrival.
 struct TrackingRouter<'a> {
     ctrls: &'a mut [MemoryController],
-    enqueue_time: &'a mut EnqueueSlab,
     ctrl_wake: &'a mut [Cycle],
     ctrl_skipped: &'a mut [u64],
 }
@@ -1404,9 +1337,6 @@ impl MemPort for TrackingRouter<'_> {
         r.tenant = req.tenant;
         let ok = ctrl.enqueue(r, now);
         if ok {
-            // Writes are tracked too (and consumed at completion) so the
-            // slab's base is never pinned by an id that will never arrive.
-            self.enqueue_time.insert(req.id, now);
             // The arrival ends the sleep; the wake value is the arrival
             // cycle itself, never a sentinel.
             self.ctrl_wake[ch] = now;
@@ -1501,36 +1431,6 @@ pub fn run_many(cfgs: &[SimConfig]) -> Vec<SimResult> {
 mod tests {
     use super::*;
     use microbank_workloads::suite::Workload;
-
-    #[test]
-    fn enqueue_slab_roundtrips_in_order() {
-        let mut s = EnqueueSlab::new();
-        for id in 10..20u64 {
-            s.insert(id, id * 7);
-        }
-        for id in 10..20u64 {
-            assert_eq!(s.remove(id), Some(id * 7));
-            assert_eq!(s.remove(id), None, "double-remove yields nothing");
-        }
-        assert!(s.slots.is_empty(), "fully drained slab frees its slots");
-    }
-
-    #[test]
-    fn enqueue_slab_handles_gaps_and_stragglers() {
-        let mut s = EnqueueSlab::new();
-        // id 7 lags (backlogged); 6 and 8 land and complete first.
-        s.insert(6, 60);
-        s.insert(8, 80);
-        assert_eq!(s.remove(6), Some(60));
-        assert_eq!(s.remove(8), Some(80));
-        // Base must not advance past id 7's still-empty slot…
-        s.insert(7, 70);
-        assert_eq!(s.remove(7), Some(70));
-        assert!(s.slots.is_empty());
-        // …and never-inserted ids resolve to None.
-        assert_eq!(s.remove(4), None);
-        assert_eq!(s.remove(1_000), None);
-    }
 
     #[test]
     fn quick_run_produces_sane_metrics() {

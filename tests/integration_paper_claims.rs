@@ -102,17 +102,20 @@ fn fig14_interface_ordering() {
 #[test]
 fn related_work_microbank_subsumes_salp() {
     // §VII: μbank subsumes SALP — same bank-level parallelism, plus the
-    // activation-energy savings of wordline partitioning.
-    use microbank::core::organization::Organization;
-    let run_org = |o: Organization| {
+    // activation-energy savings of wordline partitioning. MASA-8 is the
+    // SALP mode with μbank(2,4)'s eight independent row buffers per bank.
+    let run_variant = |v: DeviceVariant| {
         let mut c = SimConfig::spec_single_channel(Workload::Spec("429.mcf")).quick();
         c.cmp.cores = 16;
-        c.mem = c.mem.with_organization(o);
+        c.mem = c.mem.with_ubanks(2, 4).with_variant(v);
         sim::run(&c)
     };
-    let conv = run_org(Organization::Conventional);
-    let salp = run_org(Organization::Salp { subarrays: 8 });
-    let ub = run_org(Organization::Microbank { n_w: 2, n_b: 4 });
+    let conv = run_variant(DeviceVariant::Conventional);
+    let salp = run_variant(DeviceVariant::Salp {
+        subarrays: 8,
+        mode: SalpMode::Masa,
+    });
+    let ub = run_variant(DeviceVariant::Microbank);
     // SALP and the same-row-buffer-count μbank deliver similar IPC…
     assert!(salp.ipc > conv.ipc);
     assert!(
